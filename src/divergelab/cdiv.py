@@ -74,7 +74,7 @@ def binary_entropy(mu: float) -> float:
     return -mu * math.log(mu) - (1.0 - mu) * math.log(1.0 - mu)
 
 
-def _check_mu(mu: Optional[float]) -> float:
+def check_mu(mu: Optional[float]) -> float:
     if mu is None or not 0.0 < mu < 1.0:
         raise BadMu(f"mu must lie in (0, 1), got {mu!r}")
     return float(mu)
@@ -87,50 +87,68 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kl_kernel(t: np.ndarray) -> np.ndarray:
-    return _xlogx(t)
+# Mixture members a D(p || m) + b D(q || m) with m = mu p + (1 - mu) q, as
+# (mu, a, b). The quantum skew divergences use the same weights.
+
+def skew_weights(mu: float) -> tuple[float, float, float]:
+    return mu, mu / math.log(1.0 / mu), (1.0 - mu) / math.log(1.0 / (1.0 - mu))
 
 
-def _skew_kernel(t: np.ndarray, mu: float) -> np.ndarray:
-    # mu/L * t ln(t / (mu t + 1-mu)) + (1-mu)/L' * ln(1 / ((1-mu) + mu t))
-    log_inv_mu = math.log(1.0 / mu)
-    log_inv_nu = math.log(1.0 / (1.0 - mu))
+def holevo_weights(mu: float) -> tuple[float, float, float]:
+    return mu, mu / binary_entropy(mu), (1.0 - mu) / binary_entropy(1.0 - mu)
+
+
+def js_weights() -> tuple[float, float, float]:
+    return 0.5, 0.5, 0.5
+
+
+def _mixture_kernel(t: np.ndarray, mu: float, a: float, b: float) -> np.ndarray:
+    # a t ln(t / mix) + b ln(1 / mix) with mix = mu t + 1 - mu.
     mix = mu * t + (1.0 - mu)
     first = np.zeros_like(t)
     pos = t > 0.0
     first[pos] = t[pos] * np.log(t[pos] / mix[pos])
-    return (mu / log_inv_mu) * first - ((1.0 - mu) / log_inv_nu) * np.log(mix)
+    return a * first - b * np.log(mix)
 
 
-def _hsd_kernel(t: np.ndarray, mu: float) -> np.ndarray:
-    mix = mu * t + (1.0 - mu)
-    return (mu * _xlogx(t) - mix * np.log(mix)) / binary_entropy(mu)
+class _ConvexSpec(NamedTuple):
+    kernel: Callable[[np.ndarray, Optional[float]], np.ndarray]
+    # lim_{t->inf} f(t)/t; weights the p-mass outside supp(q).
+    recession: Callable[[Optional[float]], float]
+    needs_mu: bool = False
 
 
-def _vd_kernel(t: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(1.0 - t)
+def _mixture(weights: Callable, needs_mu: bool = False) -> _ConvexSpec:
+    # Only the a t ln(t / mix) term grows linearly: f(t)/t -> a ln(1/mu).
+    def recession(mu):
+        mix_mu, a, _ = weights(mu)
+        return a * math.log(1.0 / mix_mu)
+
+    return _ConvexSpec(lambda t, mu: _mixture_kernel(t, *weights(mu)), recession, needs_mu)
 
 
-def _js_kernel(t: np.ndarray) -> np.ndarray:
-    half = (1.0 + t) / 2.0
-    first = np.zeros_like(t)
-    pos = t > 0.0
-    first[pos] = t[pos] * np.log(t[pos] / half[pos])
-    return 0.5 * (first - np.log(half))
+# The convex-function registry: one entry per tag.
+FUNCTIONS = {
+    "kl": _ConvexSpec(lambda t, mu: _xlogx(t), lambda mu: math.inf),
+    "skew": _mixture(skew_weights, needs_mu=True),
+    "hsd": _mixture(holevo_weights, needs_mu=True),
+    "vd": _ConvexSpec(lambda t, mu: 0.5 * np.abs(1.0 - t), lambda mu: 0.5),
+    "js": _mixture(lambda mu: js_weights()),
+}
 
 
 @dataclass(frozen=True)
 class ConvexFunctionId:
-    """Registry handle: tag in {kl, skew, hsd, vd, js} plus mu where needed."""
+    """Registry handle: a ``FUNCTIONS`` tag plus mu where needed."""
 
     tag: str
     mu: Optional[float] = None
 
     def __post_init__(self):
-        if self.tag in ("skew", "hsd"):
-            _check_mu(self.mu)
-        elif self.tag not in ("kl", "vd", "js"):
+        if self.tag not in FUNCTIONS:
             raise ValueError(f"unknown convex function tag {self.tag!r}")
+        if FUNCTIONS[self.tag].needs_mu:
+            check_mu(self.mu)
 
     @property
     def label(self) -> str:
@@ -157,36 +175,11 @@ def js() -> ConvexFunctionId:
     return ConvexFunctionId("js")
 
 
-def _kernel(f: ConvexFunctionId) -> Callable[[np.ndarray], np.ndarray]:
-    if f.tag == "kl":
-        return _kl_kernel
-    if f.tag == "skew":
-        return lambda t: _skew_kernel(t, f.mu)
-    if f.tag == "hsd":
-        return lambda t: _hsd_kernel(t, f.mu)
-    if f.tag == "vd":
-        return _vd_kernel
-    return _js_kernel
-
-
-def recession_constant(f: ConvexFunctionId) -> float:
-    """lim_{t->inf} f(t)/t; weights the p-mass outside supp(q)."""
-    if f.tag == "kl":
-        return math.inf
-    if f.tag == "skew":
-        return f.mu
-    if f.tag == "hsd":
-        return f.mu * math.log(1.0 / f.mu) / binary_entropy(f.mu)
-    if f.tag == "vd":
-        return 0.5
-    return 0.5 * math.log(2.0)
-
-
 def f_eval(f: ConvexFunctionId, t: float) -> float:
     """Registry function at a single point t >= 0 (t=0 by right limit)."""
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    return float(_kernel(f)(np.asarray([t], dtype=float))[0])
+    return float(FUNCTIONS[f.tag].kernel(np.asarray([t], dtype=float), f.mu)[0])
 
 
 def f_divergence(
@@ -198,9 +191,10 @@ def f_divergence(
     pv, qv = p.probs, q.probs
     inside = qv > 0.0
     outside_mass = float(pv[~inside].sum())
-    total = float(np.sum(qv[inside] * _kernel(f)(pv[inside] / qv[inside])))
+    spec = FUNCTIONS[f.tag]
+    total = float(np.sum(qv[inside] * spec.kernel(pv[inside] / qv[inside], f.mu)))
     if outside_mass > 0.0:
-        rec = recession_constant(f)
+        rec = spec.recession(f.mu)
         if math.isinf(rec):
             return QuantifierResult.infinite()
         total += outside_mass * rec

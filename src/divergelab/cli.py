@@ -19,41 +19,28 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import harness, qdiv
+from . import harness, qdiv, search
 from .errors import DivergelabError
 from .harness import PropertyReport
 from .qdiv import QuantifierId
-from .search import MAX_VALUE
 from .states import DensityMatrix, load_fixture, state_from_dict, state_from_spec
 
 SEED_ENV_VAR = "DIVERGELAB_SEED"
 
-SUITES = (
-    "dpi",
-    "invariance",
-    "optimal-pair",
-    "plateau",
-    "joint-convexity",
-    "kadison",
-    "purity-bound",
-    "stinespring",
-)
-
-# Suites that take no quantifier argument.
-_PAIRLESS_SUITES = ("kadison", "purity-bound")
-
-# Default quantifier tags per suite when --q is not given.
+# Per suite, the quantifier tags it runs when --q is not given; None for the
+# suites that take no quantifier.
 _DEFAULT_TAGS = {
-    "dpi": list(qdiv.CONTRACTIVE),
-    "invariance": list(qdiv.ALL_TAGS),
-    "optimal-pair": ["trace_dist"],
-    "plateau": list(qdiv.PLATEAU_VALUE),
-    "joint-convexity": list(qdiv.JOINTLY_CONVEX),
-    "stinespring": ["trace_dist"],
+    "dpi": qdiv.CONTRACTIVE,
+    "invariance": qdiv.ALL_TAGS,
+    "optimal-pair": ("trace_dist",),
+    "plateau": tuple(qdiv.PLATEAU_VALUE),
+    "joint-convexity": qdiv.JOINTLY_CONVEX,
+    "kadison": None,
+    "purity-bound": None,
+    "stinespring": ("trace_dist",),
 }
 
-# Entropic quantities whose numerical value depends on the log base.
-_BASE_DEPENDENT = ("rel_entropy", "qjs")
+SUITES = tuple(_DEFAULT_TAGS)
 
 
 @dataclass
@@ -88,17 +75,29 @@ def _load_state(source: str) -> DensityMatrix:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    if "-" in text:
-        low, high = text.split("-", 1)
-        return int(low), int(high)
-    d = int(text)
-    return d, d
+    low, _, high = text.partition("-")
+    try:
+        dims = int(low), int(high or low)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a dimension or a range like 2-6, got {text!r}")
+    if not 2 <= dims[0] <= dims[1]:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} needs 2 <= low <= high, got low={dims[0]}, high={dims[1]}"
+        )
+    return dims
 
 
-def _format_value(value: float, tag: str, log_base: str) -> str:
+def _trial_count(text: str) -> int:
+    trials = int(text)
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {trials}")
+    return trials
+
+
+def _format_value(value: float, q: QuantifierId, log_base: str) -> str:
     if math.isinf(value):
         return "inf"
-    if log_base == "bits" and tag in _BASE_DEPENDENT:
+    if log_base == "bits" and q.spec.base_dependent:
         value = value / math.log(2.0)
     return repr(value)
 
@@ -108,60 +107,51 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sigma = _load_state(args.state_b)
     q = qdiv.quantifier(args.quantifier, args.mu)
     result = qdiv.evaluate(q, rho, sigma)
-    print(_format_value(result.value, q.tag, args.log_base))
+    print(_format_value(result.value, q, args.log_base))
     return 0
 
 
-def _quantifier_ids(suite: str, args: argparse.Namespace) -> list[Optional[QuantifierId]]:
-    if suite in _PAIRLESS_SUITES:
-        return [None]
-    tags = args.q or _DEFAULT_TAGS[suite]
-    return [qdiv.quantifier(tag, args.mu) for tag in tags]
-
-
-def _run_one(suite: str, q: Optional[QuantifierId], cfg: RunConfig) -> list[dict]:
-    """Run one (suite, quantifier) combination; returns result records."""
-    trials = cfg.trials
+def _run_one(suite: str, q: Optional[QuantifierId], cfg: RunConfig) -> list[PropertyReport]:
+    """Run one (report suite, quantifier) combination. The trial count is
+    passed only when given, so each suite's default stays in the harness."""
+    kw = {"seed": cfg.seed} if cfg.trials is None else {"seed": cfg.seed, "trials": cfg.trials}
     if suite == "dpi":
-        report = harness.dpi_suite(q, trials or 500, cfg.dims, cfg.seed)
-        return [{"type": "report", "report": report}]
+        return [harness.dpi_suite(q, dim_range=cfg.dims, **kw)]
     if suite == "invariance":
-        reports = harness.invariance_suite(q, trials or 100, cfg.seed)
-        return [{"type": "report", "report": r} for r in reports.all_reports()]
+        return harness.invariance_suite(q, **kw).all_reports()
     if suite == "plateau":
-        report = harness.orthogonal_plateau_check(q, trials or 100, cfg.dims, cfg.seed)
-        return [{"type": "report", "report": report}]
+        return [harness.orthogonal_plateau_check(q, dim_range=cfg.dims, **kw)]
     if suite == "joint-convexity":
-        report = harness.joint_convexity_suite(q, trials or 300, cfg.seed)
-        return [{"type": "report", "report": report}]
+        return [harness.joint_convexity_suite(q, **kw)]
     if suite == "kadison":
-        return [{"type": "report", "report": harness.kadison_bound_check(trials or 300, cfg.seed)}]
+        return [harness.kadison_bound_check(**kw)]
     if suite == "purity-bound":
-        return [{"type": "report", "report": harness.purity_bound_check(trials or 300, cfg.seed)}]
-    if suite == "stinespring":
-        report = harness.stinespring_dpi_equivalence(q, trials or 50, cfg.seed)
-        return [{"type": "report", "report": report}]
-    # optimal-pair
+        return [harness.purity_bound_check(**kw)]
+    return [harness.stinespring_dpi_equivalence(q, **kw)]
+
+
+def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, dict]:
+    """Summary line, verdict and report record of one search."""
     dim = cfg.dims[0]
-    result = harness.optimal_pair_search(q, dim, seed=cfg.seed)
-    return [{"type": "optimization", "quantifier": q.label, "dim": dim, "result": result}]
-
-
-def _optimization_record(entry: dict) -> dict:
-    result = entry["result"]
-    target = MAX_VALUE[entry["quantifier"].split("(")[0]]
-    return {
+    result = search.optimal_pair_search(q, dim, seed=cfg.seed)
+    record = {
         "suite": "optimal-pair",
-        "quantifier": entry["quantifier"],
-        "dim": entry["dim"],
+        "quantifier": q.label,
+        "dim": dim,
         "value": result.value,
-        "target": target,
+        "target": q.spec.maximum,
         "orthogonality_overlap": result.orthogonality_overlap,
         "purities": list(result.purities),
         "restarts_used": result.restarts_used,
         "converged": result.converged,
         "evaluations": result.evaluations,
     }
+    ok = result.value >= q.spec.maximum - 1e-3 and result.orthogonality_overlap <= 1e-3
+    line = (
+        f"suite=optimal-pair q={q.label} dim={dim} value={result.value:.6f} "
+        f"overlap={result.orthogonality_overlap:.2e} converged={result.converged}"
+    )
+    return line, ok, record
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -172,37 +162,31 @@ def cmd_suite(args: argparse.Namespace) -> int:
         command="suite",
         quantifiers=args.q or [],
         mu=args.mu,
-        dims=_parse_dims(args.dim),
+        dims=args.dim,
         trials=args.trials,
         seed=_resolve_seed(args.seed),
         out=args.out,
         format=args.format,
         log_base=args.log_base,
     )
+    default_tags = _DEFAULT_TAGS[args.suite]
+    if default_tags is None:
+        quantifiers = [None]
+    else:
+        quantifiers = [qdiv.quantifier(tag, args.mu) for tag in args.q or default_tags]
     records: list[dict] = []
     exit_code = 0
-    for q in _quantifier_ids(args.suite, args):
-        for entry in _run_one(args.suite, q, cfg):
-            if entry["type"] == "report":
-                report: PropertyReport = entry["report"]
-                print(report.summary_line())
-                if not report.passed:
-                    exit_code = 1
-                records.append(report.to_dict())
-            else:
-                record = _optimization_record(entry)
-                ok = (
-                    record["value"] >= record["target"] - 1e-3
-                    and record["orthogonality_overlap"] <= 1e-3
-                )
-                print(
-                    f"suite=optimal-pair q={record['quantifier']} dim={record['dim']} "
-                    f"value={record['value']:.6f} overlap={record['orthogonality_overlap']:.2e} "
-                    f"converged={record['converged']}"
-                )
-                if not ok:
-                    exit_code = 1
-                records.append(record)
+    for q in quantifiers:
+        if args.suite == "optimal-pair":
+            outcomes = [_optimal_pair(q, cfg)]
+        else:
+            reports = _run_one(args.suite, q, cfg)
+            outcomes = [(r.summary_line(), r.passed, r.to_dict()) for r in reports]
+        for line, passed, record in outcomes:
+            print(line)
+            if not passed:
+                exit_code = 1
+            records.append(record)
     if cfg.out:
         _write_report_file(cfg, records)
     return exit_code
@@ -277,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("suite")
     p_suite.add_argument("--q", action="append", help="quantifier tag (repeatable)")
     p_suite.add_argument("--mu", type=float, default=0.3)
-    p_suite.add_argument("--dim", default="2-6", help="dimension or range, e.g. 4 or 2-6")
-    p_suite.add_argument("--trials", type=int, default=None)
+    p_suite.add_argument(
+        "--dim", type=_parse_dims, default="2-6", help="dimension or range, e.g. 4 or 2-6"
+    )
+    p_suite.add_argument("--trials", type=_trial_count, default=None)
     p_suite.add_argument("--seed", type=int, default=None)
     p_suite.add_argument("--out", default=None)
     p_suite.add_argument("--format", choices=("json", "csv"), default="json")

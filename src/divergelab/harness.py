@@ -19,9 +19,8 @@ import numpy as np
 
 from . import channels, qdiv
 from .channels import KrausChannel, apply, apply_to_matrix
-from .qdiv import CONTRACTIVE, JOINTLY_CONVEX, NON_CONTRACTIVE, PLATEAU_VALUE, QuantifierId
+from .qdiv import QuantifierId
 from .sampling import derive_rng, haar_unitary, random_unit_vector
-from .search import OptimizationResult, optimal_pair_search  # noqa: F401  (re-export)
 from .states import (
     StatePair,
     _sample_state_rng,
@@ -45,8 +44,9 @@ def _digest(*arrays: np.ndarray) -> str:
 
 
 def _jsonable(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
+    # JSON has no inf or nan; write them as the strings "inf", "-inf", "nan".
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
     return x
 
 
@@ -92,12 +92,6 @@ class PropertyReport:
             f"violations={self.violations} worst={self.worst_margin:.3e}"
         )
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.suite},{self.quantifier},{self.trials},{self.violations},"
-            f"{self.worst_margin!r},{self.seed}"
-        )
-
 
 CSV_HEADER = "suite,quantifier,trials,violations,worst_margin,seed"
 
@@ -112,8 +106,10 @@ def _finish(
     expectation: str = ZERO_VIOLATIONS,
     extra: Optional[dict] = None,
 ) -> PropertyReport:
-    violations = sum(1 for m in margins if m < -tolerance)
-    worst = min(margins) if margins else 0.0
+    # A non-finite margin is a violation, and a nan one is the worst margin
+    # wherever it falls in the trial order.
+    violations = sum(1 for m in margins if not (math.isfinite(m) and m >= -tolerance))
+    worst = math.nan if any(math.isnan(m) for m in margins) else min(margins, default=0.0)
     return PropertyReport(
         suite=suite,
         quantifier=q_label,
@@ -174,7 +170,7 @@ def dpi_suite(
     amplification ratio is tracked against its exact cap (sqrt of the traced
     dimension for hs_dist, the traced dimension itself for d_inf).
     """
-    may_violate = q.tag in NON_CONTRACTIVE
+    may_violate = not q.spec.contractive
     margins: list[float] = []
     details: list[dict] = []
     max_ratio = 0.0
@@ -186,7 +182,7 @@ def dpi_suite(
             d_e = int(rng.integers(2, 5))
             dim = d_s * d_e
             label, ch = "partial_trace", channels.partial_trace_channel(d_s, d_e)
-            ratio_cap = math.sqrt(d_e) if q.tag == "hs_dist" else float(d_e)
+            ratio_cap = q.spec.amplification_cap(d_e)
         else:
             dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
             label, ch = _trial_channel(dim, rng)
@@ -245,7 +241,7 @@ def invariance_suite(q: QuantifierId, trials: int = 100, seed: int = 0) -> Invar
     unitary_margins, unitary_details = [], []
     assign_margins, assign_details = [], []
     transpose_margins, transpose_details = [], []
-    run_transpose = q.tag in qdiv.TRANSPOSE_INVARIANT
+    run_transpose = q.spec.transpose_invariant
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 7))
@@ -262,7 +258,7 @@ def invariance_suite(q: QuantifierId, trials: int = 100, seed: int = 0) -> Invar
         tau = _sample_state_rng(env, "hs_mixed", rng)
         ch_a = channels.assignment_channel(tau, dim)
         after_a = qdiv.evaluate(q, apply(ch_a, pair.first), apply(ch_a, pair.second)).value
-        factor = qdiv.assignment_factor(q, tau)
+        factor = q.spec.assignment_factor(tau)
         assign_margins.append(-abs(after_a - factor * before))
         assign_details.append(
             {"trial": t, "dim": dim, "factor": factor, "before": before, "after": after_a}
@@ -288,9 +284,9 @@ def orthogonal_plateau_check(
 ) -> PropertyReport:
     """Evaluate on random orthogonal pairs of assorted ranks: the bounded
     contractive quantifiers must sit at one common maximum value."""
-    if q.tag not in PLATEAU_VALUE:
+    target = q.spec.plateau
+    if target is None:
         raise ValueError(f"{q.tag} has no common plateau value")
-    target = PLATEAU_VALUE[q.tag]
     margins, details, values = [], [], []
     for t in range(trials):
         rng = derive_rng(seed, t)
@@ -310,7 +306,7 @@ def orthogonal_plateau_check(
 
 def joint_convexity_suite(q: QuantifierId, trials: int = 300, seed: int = 0) -> PropertyReport:
     """S(sum mu_k rho_k, sum mu_k sigma_k) <= sum mu_k S(rho_k, sigma_k)."""
-    if q.tag not in JOINTLY_CONVEX:
+    if not q.spec.jointly_convex:
         raise ValueError(f"{q.tag} is not in the jointly convex set")
     margins, details = [], []
     for t in range(trials):
@@ -390,9 +386,10 @@ def purity_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
         dist_sq = qdiv.evaluate(q, pair.first, pair.second).value ** 2
         bound = 0.5 * (purity(pair.first) + purity(pair.second))
         gap = bound - dist_sq
-        # Saturation is required on orthogonal pairs, only the bound otherwise.
+        # Saturation is required on orthogonal pairs, only the bound otherwise;
+        # a nan gap satisfies neither.
         margin = -abs(gap) if orthogonal else gap
-        if (orthogonal and abs(gap) > TOL_MARGIN) or gap < -TOL_CLOSED_FORM:
+        if not ((not orthogonal or abs(gap) <= TOL_MARGIN) and gap >= -TOL_CLOSED_FORM):
             violations += 1
         margins.append(margin)
         details.append(
@@ -407,7 +404,7 @@ def stinespring_dpi_equivalence(q: QuantifierId, trials: int = 50, seed: int = 0
     """Factorize random channels into assignment, unitary and partial trace;
     the staged evaluation must match the direct one and, for the contractive
     set, decrease monotonically along the pipeline."""
-    if q.tag not in CONTRACTIVE:
+    if not q.spec.contractive:
         raise ValueError(f"{q.tag} is not contractive; pipeline monotonicity not expected")
     margins, details = [], []
     max_gap = 0.0

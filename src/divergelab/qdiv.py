@@ -6,76 +6,22 @@ containment check inside the relative entropy. Natural logarithms
 throughout. Restricted to commuting pairs, each quantifier coincides with a
 classical expression on the joint eigenvalue distributions, which
 ``classical_reduction`` evaluates through :mod:`divergelab.cdiv` as an
-independent cross-check.
+independent cross-check. Every fact the package uses about a quantifier,
+classical form included, lives in its ``QUANTIFIERS`` entry.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import cdiv, matcore
-from .cdiv import binary_entropy
 from .errors import BadMu, DimMismatch, NotCommuting, WeightError
 from .matcore import dagger
 from .result import QuantifierResult
 from .states import DensityMatrix, StatePair, commute, pure_state, purity, validate_density
-
-ALL_TAGS = (
-    "rel_entropy",
-    "qsd",
-    "holevo_skew",
-    "trace_dist",
-    "qjs",
-    "bures",
-    "hellinger",
-    "hs_dist",
-    "d_inf",
-)
-
-# Quantifiers contracting under every CPTP map, per the classification the
-# verification suites enforce.
-CONTRACTIVE = ("rel_entropy", "qsd", "holevo_skew", "trace_dist", "qjs", "bures", "hellinger")
-NON_CONTRACTIVE = ("hs_dist", "d_inf")
-BOUNDED = tuple(t for t in ALL_TAGS if t != "rel_entropy")
-TRANSPOSE_INVARIANT = ("trace_dist", "rel_entropy", "qsd", "holevo_skew")
-JOINTLY_CONVEX = ("rel_entropy", "hs_dist", "d_inf", "qsd", "holevo_skew", "qjs")
-
-# Common value on every orthogonal pair, for the bounded contractive set.
-PLATEAU_VALUE = {
-    "trace_dist": 1.0,
-    "holevo_skew": 1.0,
-    "bures": 1.0,
-    "hellinger": 1.0,
-    "qsd": 1.0,
-    "qjs": math.log(2.0),
-}
-
-_NEEDS_MU = ("qsd", "holevo_skew")
-
-
-@dataclass(frozen=True)
-class QuantifierId:
-    """Quantifier selector: tag plus skewing parameter where applicable."""
-
-    tag: str
-    mu: Optional[float] = None
-
-    def __post_init__(self):
-        if self.tag not in ALL_TAGS:
-            raise ValueError(f"unknown quantifier tag {self.tag!r}")
-        if self.tag in _NEEDS_MU and not (self.mu is not None and 0.0 < self.mu < 1.0):
-            raise BadMu(f"{self.tag} needs mu in (0, 1), got {self.mu!r}")
-
-    @property
-    def label(self) -> str:
-        return self.tag if self.mu is None else f"{self.tag}(mu={self.mu:g})"
-
-
-def quantifier(tag: str, mu: Optional[float] = None) -> QuantifierId:
-    return QuantifierId(tag, mu if tag in _NEEDS_MU else None)
 
 
 def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
@@ -87,10 +33,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lam = rho.eigenvalues
     pos = lam > 0.0
     return float(-np.sum(lam[pos] * np.log(lam[pos])))
-
-
-def _mix(a: DensityMatrix, b: DensityMatrix, weight_a: float) -> DensityMatrix:
-    return validate_density(weight_a * a.matrix + (1.0 - weight_a) * b.matrix)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
@@ -119,19 +61,24 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResu
     return QuantifierResult.of(value)
 
 
+def _mixture_divergence(
+    rho: DensityMatrix, sigma: DensityMatrix, mu: float, a: float, b: float
+) -> QuantifierResult:
+    """a D(rho || m) + b D(sigma || m) against the mixture
+    m = mu rho + (1 - mu) sigma, with the weights of :mod:`divergelab.cdiv`."""
+    _check_dims(rho, sigma)
+    m = validate_density(mu * rho.matrix + (1.0 - mu) * sigma.matrix)
+    first = relative_entropy(rho, m).value
+    second = relative_entropy(sigma, m).value
+    return QuantifierResult.of(a * first + b * second)
+
+
 def quantum_skew_divergence(
     rho: DensityMatrix, sigma: DensityMatrix, mu: float
 ) -> QuantifierResult:
     """Skewed relative entropy against the mu-mixture, symmetrized and
     normalized to take values in [0, 1]; always finite."""
-    if not 0.0 < mu < 1.0:
-        raise BadMu(f"mu must lie in (0, 1), got {mu!r}")
-    _check_dims(rho, sigma)
-    m = _mix(rho, sigma, mu)
-    first = relative_entropy(rho, m).value
-    second = relative_entropy(sigma, m).value
-    value = mu / math.log(1.0 / mu) * first + (1.0 - mu) / math.log(1.0 / (1.0 - mu)) * second
-    return QuantifierResult.of(value)
+    return _mixture_divergence(rho, sigma, *cdiv.skew_weights(cdiv.check_mu(mu)))
 
 
 def holevo_skew_divergence(
@@ -139,14 +86,7 @@ def holevo_skew_divergence(
 ) -> QuantifierResult:
     """Binary-entropy-normalized skew divergence; equals the Holevo quantity
     of the weighted two-state ensemble divided by h(mu)."""
-    if not 0.0 < mu < 1.0:
-        raise BadMu(f"mu must lie in (0, 1), got {mu!r}")
-    _check_dims(rho, sigma)
-    m = _mix(rho, sigma, mu)
-    first = relative_entropy(rho, m).value
-    second = relative_entropy(sigma, m).value
-    value = mu / binary_entropy(mu) * first + (1.0 - mu) / binary_entropy(1.0 - mu) * second
-    return QuantifierResult.of(value)
+    return _mixture_divergence(rho, sigma, *cdiv.holevo_weights(cdiv.check_mu(mu)))
 
 
 def holevo_chi(ensemble: Sequence[tuple[float, DensityMatrix]]) -> float:
@@ -173,10 +113,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult
 
 def quantum_js(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """Half the sum of relative entropies against the even mixture."""
-    _check_dims(rho, sigma)
-    m = _mix(rho, sigma, 0.5)
-    value = 0.5 * (relative_entropy(rho, m).value + relative_entropy(sigma, m).value)
-    return QuantifierResult.of(value)
+    return _mixture_divergence(rho, sigma, *cdiv.js_weights())
 
 
 def _psd_sqrt(rho: DensityMatrix) -> np.ndarray:
@@ -227,38 +164,6 @@ def d_infinity(rho: DensityMatrix, sigma: DensityMatrix) -> DInfinityResult:
     return DInfinityResult(
         QuantifierResult.of(float(np.abs(w[idx]))), pure_state(v[:, idx])
     )
-
-
-def evaluate(q: QuantifierId, rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
-    """Uniform entry point used by the suites and the CLI."""
-    if q.tag == "rel_entropy":
-        return relative_entropy(rho, sigma)
-    if q.tag == "qsd":
-        return quantum_skew_divergence(rho, sigma, q.mu)
-    if q.tag == "holevo_skew":
-        return holevo_skew_divergence(rho, sigma, q.mu)
-    if q.tag == "trace_dist":
-        return trace_distance(rho, sigma)
-    if q.tag == "qjs":
-        return quantum_js(rho, sigma)
-    if q.tag == "bures":
-        return bures_distance(rho, sigma)
-    if q.tag == "hellinger":
-        return hellinger_distance(rho, sigma)
-    if q.tag == "hs_dist":
-        return hs_distance(rho, sigma)
-    return d_infinity(rho, sigma).result
-
-
-def assignment_factor(q: QuantifierId, tau: DensityMatrix) -> float:
-    """Exact scaling of the quantifier under tensoring with a fixed state:
-    1 for the contractive set, sqrt(purity) for hs_dist, the largest
-    eigenvalue for d_inf."""
-    if q.tag == "hs_dist":
-        return math.sqrt(purity(tau))
-    if q.tag == "d_inf":
-        return float(np.max(tau.eigenvalues))
-    return 1.0
 
 
 def _joint_eigenbasis(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -312,25 +217,7 @@ def classical_reduction(
     p = cdiv.distribution(p_vals / p_vals.sum())
     s = cdiv.distribution(q_vals / q_vals.sum())
 
-    if q.tag == "rel_entropy":
-        classical = cdiv.f_divergence(cdiv.kl(), p, s)
-    elif q.tag == "qsd":
-        classical = cdiv.f_divergence(cdiv.skew(q.mu), p, s)
-    elif q.tag == "holevo_skew":
-        classical = cdiv.f_divergence(cdiv.hsd(q.mu), p, s)
-    elif q.tag == "trace_dist":
-        classical = cdiv.f_divergence(cdiv.vd(), p, s)
-    elif q.tag == "qjs":
-        classical = cdiv.f_divergence(cdiv.js(), p, s)
-    elif q.tag in ("bures", "hellinger"):
-        classical = QuantifierResult.of(
-            _sqrt_clipped(1.0 - cdiv.bhattacharyya_coefficient(p, s))
-        )
-    elif q.tag == "hs_dist":
-        classical = QuantifierResult.of(cdiv.euclidean_distance(p, s) / math.sqrt(2.0))
-    else:  # d_inf
-        classical = QuantifierResult.of(cdiv.chebyshev_distance(p, s))
-
+    classical = q.spec.classical(p, s, q.mu)
     quantum = evaluate(q, rho, sigma)
     if not quantum.finite and not classical.finite:
         gap = 0.0
@@ -339,3 +226,129 @@ def classical_reduction(
     else:
         gap = abs(quantum.value - classical.value)
     return ClassicalReduction(quantum, classical, gap)
+
+
+def _root_infidelity(p: cdiv.Distribution, s: cdiv.Distribution, mu) -> QuantifierResult:
+    return QuantifierResult.of(_sqrt_clipped(1.0 - cdiv.bhattacharyya_coefficient(p, s)))
+
+
+@dataclass(frozen=True)
+class QuantifierSpec:
+    """Everything the package knows about one quantifier.
+
+    ``quantum`` evaluates it on two states, ``classical`` on the joint
+    eigenvalue distributions of a commuting pair; both take mu, which only
+    ``needs_mu`` entries use. Entries call the public functions by their
+    module-global names at call time, so rebinding such a name reaches
+    every evaluation.
+    """
+
+    quantum: Callable[[DensityMatrix, DensityMatrix, Optional[float]], QuantifierResult]
+    classical: Callable[[cdiv.Distribution, cdiv.Distribution, Optional[float]], QuantifierResult]
+    needs_mu: bool = False
+    contractive: bool = False  # under every CPTP map
+    transpose_invariant: bool = False
+    jointly_convex: bool = False
+    base_dependent: bool = False  # the value depends on the log base
+    plateau: Optional[float] = None  # common value on every orthogonal pair
+    maximum: Optional[float] = None  # over all pairs; None when unbounded
+    # Exact scaling under tensoring with a fixed state tau.
+    assignment_factor: Callable[[DensityMatrix], float] = lambda tau: 1.0
+    # Cap on after / before under a partial trace over an env_dim factor.
+    amplification_cap: Callable[[int], float] = lambda env_dim: 1.0
+
+
+QUANTIFIERS = {
+    "rel_entropy": QuantifierSpec(
+        lambda r, s, mu: relative_entropy(r, s),
+        lambda p, s, mu: cdiv.f_divergence(cdiv.kl(), p, s),
+        contractive=True, transpose_invariant=True, jointly_convex=True, base_dependent=True,
+    ),
+    "qsd": QuantifierSpec(
+        lambda r, s, mu: quantum_skew_divergence(r, s, mu),
+        lambda p, s, mu: cdiv.f_divergence(cdiv.skew(mu), p, s),
+        needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
+        plateau=1.0, maximum=1.0,
+    ),
+    "holevo_skew": QuantifierSpec(
+        lambda r, s, mu: holevo_skew_divergence(r, s, mu),
+        lambda p, s, mu: cdiv.f_divergence(cdiv.hsd(mu), p, s),
+        needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
+        plateau=1.0, maximum=1.0,
+    ),
+    "trace_dist": QuantifierSpec(
+        lambda r, s, mu: trace_distance(r, s),
+        lambda p, s, mu: cdiv.f_divergence(cdiv.vd(), p, s),
+        contractive=True, transpose_invariant=True, plateau=1.0, maximum=1.0,
+    ),
+    "qjs": QuantifierSpec(
+        lambda r, s, mu: quantum_js(r, s),
+        lambda p, s, mu: cdiv.f_divergence(cdiv.js(), p, s),
+        contractive=True, jointly_convex=True, base_dependent=True,
+        plateau=math.log(2.0), maximum=math.log(2.0),
+    ),
+    "bures": QuantifierSpec(
+        lambda r, s, mu: bures_distance(r, s), _root_infidelity,
+        contractive=True, plateau=1.0, maximum=1.0,
+    ),
+    "hellinger": QuantifierSpec(
+        lambda r, s, mu: hellinger_distance(r, s), _root_infidelity,
+        contractive=True, plateau=1.0, maximum=1.0,
+    ),
+    "hs_dist": QuantifierSpec(
+        lambda r, s, mu: hs_distance(r, s),
+        lambda p, s, mu: QuantifierResult.of(cdiv.euclidean_distance(p, s) / math.sqrt(2.0)),
+        jointly_convex=True, maximum=1.0,
+        assignment_factor=lambda tau: math.sqrt(purity(tau)),
+        amplification_cap=lambda env_dim: math.sqrt(env_dim),
+    ),
+    "d_inf": QuantifierSpec(
+        lambda r, s, mu: d_infinity(r, s).result,
+        lambda p, s, mu: QuantifierResult.of(cdiv.chebyshev_distance(p, s)),
+        jointly_convex=True, maximum=1.0,
+        assignment_factor=lambda tau: float(np.max(tau.eigenvalues)),
+        amplification_cap=lambda env_dim: float(env_dim),
+    ),
+}
+
+
+# Views of the table, in table order.
+ALL_TAGS = tuple(QUANTIFIERS)
+CONTRACTIVE = tuple(t for t, s in QUANTIFIERS.items() if s.contractive)
+NON_CONTRACTIVE = tuple(t for t, s in QUANTIFIERS.items() if not s.contractive)
+BOUNDED = tuple(t for t, s in QUANTIFIERS.items() if s.maximum is not None)
+TRANSPOSE_INVARIANT = tuple(t for t, s in QUANTIFIERS.items() if s.transpose_invariant)
+JOINTLY_CONVEX = tuple(t for t, s in QUANTIFIERS.items() if s.jointly_convex)
+NEEDS_MU = tuple(t for t, s in QUANTIFIERS.items() if s.needs_mu)
+PLATEAU_VALUE = {t: s.plateau for t, s in QUANTIFIERS.items() if s.plateau is not None}
+
+
+@dataclass(frozen=True)
+class QuantifierId:
+    """Quantifier selector: tag plus skewing parameter where applicable."""
+
+    tag: str
+    mu: Optional[float] = None
+
+    def __post_init__(self):
+        if self.tag not in QUANTIFIERS:
+            raise ValueError(f"unknown quantifier tag {self.tag!r}")
+        if self.spec.needs_mu and not (self.mu is not None and 0.0 < self.mu < 1.0):
+            raise BadMu(f"{self.tag} needs mu in (0, 1), got {self.mu!r}")
+
+    @property
+    def spec(self) -> QuantifierSpec:
+        return QUANTIFIERS[self.tag]
+
+    @property
+    def label(self) -> str:
+        return self.tag if self.mu is None else f"{self.tag}(mu={self.mu:g})"
+
+
+def quantifier(tag: str, mu: Optional[float] = None) -> QuantifierId:
+    return QuantifierId(tag, mu if tag in NEEDS_MU else None)
+
+
+def evaluate(q: QuantifierId, rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
+    """Uniform entry point used by the suites and the CLI."""
+    return q.spec.quantum(rho, sigma, q.mu)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qdiv
-from .qdiv import PLATEAU_VALUE, QuantifierId
+from .qdiv import QuantifierId
 from .sampling import derive_rng
 from .states import (
     ORTHO_TOL_OPTIMIZER,
@@ -24,9 +24,6 @@ from .states import (
     purity,
     validate_density,
 )
-
-# Every bounded quantifier here attains 1 on some pair except qjs (log 2).
-MAX_VALUE = dict(PLATEAU_VALUE, hs_dist=1.0, d_inf=1.0)
 
 STEP_INIT = 0.3
 STEP_DECAY = 0.5
@@ -76,11 +73,11 @@ def optimal_pair_search(
     the pattern step shrinks below 1e-7 or its evaluation budget runs out;
     only budget-terminated-everywhere searches report ``converged=False``.
     """
-    if q.tag == "rel_entropy":
-        raise ValueError("rel_entropy is unbounded; maximization is not meaningful")
+    target = q.spec.maximum
+    if target is None:
+        raise ValueError(f"{q.tag} is unbounded; maximization is not meaningful")
     if not 2 <= dim <= 6:
         raise ValueError(f"dim must be in 2..6, got {dim}")
-    target = MAX_VALUE[q.tag]
 
     def objective(x: np.ndarray) -> float:
         p = _params_to_pair(x, dim)

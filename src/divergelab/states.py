@@ -96,10 +96,6 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     return validate_density(np.eye(dim) / dim)
 
 
-def diagonal_state(probs) -> DensityMatrix:
-    return validate_density(np.diag(np.asarray(probs, dtype=float)))
-
-
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2, computed from the cached eigenvalues; 1 iff rank one."""
     lam = rho.eigenvalues
@@ -207,12 +203,6 @@ def random_orthogonal_pair(
         return validate_density(u @ np.diag(diag) @ dagger(u))
 
     return StatePair(block_state(0, rank1), block_state(rank1, rank2))
-
-
-def state_to_dict(rho: DensityMatrix, kind: str = "density") -> dict:
-    d = matcore.matrix_to_dict(rho.matrix)
-    d["kind"] = kind
-    return d
 
 
 def state_from_dict(d: dict) -> DensityMatrix:

@@ -157,6 +157,29 @@ class TestSuite:
         assert "suite=stinespring q=trace_dist trials=10 violations=0" in out
 
 
+class TestSuiteInputChecks:
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "kadison", "--trials", trials, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--trials: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["6-2", "1-4", "1", "2-x"])
+    def test_bad_dim_range_is_usage_error(self, dims, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "dpi", "--q", "trace_dist", "--dim", dims, "--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --dim" in err
+        assert "low >= high" not in err
+
+    def test_omitted_trials_take_the_suite_default(self, capsys):
+        code, out, _ = run(["suite", "stinespring", "--seed", "2"], capsys)
+        assert code == 0
+        assert "suite=stinespring q=trace_dist trials=50 violations=0" in out
+
+
 class TestCounterexample:
     def test_hs_n4(self, capsys):
         code, out, _ = run(["counterexample", "hs", "4"], capsys)

@@ -61,6 +61,29 @@ class TestDpiSuite:
         assert report.summary_line().startswith("suite=dpi q=qjs trials=10")
 
 
+class TestFinish:
+    @pytest.mark.parametrize("margins", [[math.nan, 0.1], [0.1, math.nan]])
+    def test_nan_margin_is_a_violation_in_either_order(self, margins):
+        report = harness._finish("probe", "trace_dist", margins, [], 0, harness.TOL_MARGIN)
+        assert report.violations == 1
+        assert not report.passed
+        assert math.isnan(report.worst_margin)
+        strict = json.loads(report.to_json(), parse_constant=pytest.fail)
+        assert strict["worst_margin"] == "nan"
+
+    def test_purity_bound_counts_nan_gaps(self, monkeypatch):
+        monkeypatch.setattr(harness, "purity", lambda rho: math.nan)
+        report = purity_bound_check(trials=5, seed=1)
+        assert report.violations == 5
+        assert not report.passed
+
+    def test_infinite_margins_are_violations(self):
+        margins = [math.inf, -math.inf, 0.0]
+        report = harness._finish("probe", "trace_dist", margins, [], 0, harness.TOL_MARGIN)
+        assert report.violations == 2
+        assert report.to_dict()["worst_margin"] == "-inf"
+
+
 class TestInvarianceSuite:
     @pytest.mark.parametrize("tag", qdiv.ALL_TAGS)
     def test_unitary_invariance_everywhere(self, tag):

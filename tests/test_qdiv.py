@@ -327,6 +327,50 @@ class TestUniformInterface:
             QuantifierId("qsd")
 
 
+class TestClassificationTable:
+    """The paper's classification as literals: the views the other tests
+    parametrize on must not drift from it."""
+
+    CONTRACTIVE = {"rel_entropy", "qsd", "holevo_skew", "trace_dist", "qjs", "bures", "hellinger"}
+    PLATEAU = {
+        "trace_dist": 1.0,
+        "holevo_skew": 1.0,
+        "bures": 1.0,
+        "hellinger": 1.0,
+        "qsd": 1.0,
+        "qjs": math.log(2.0),
+    }
+
+    def test_views_match_the_paper(self):
+        assert len(qdiv.ALL_TAGS) == len(set(qdiv.ALL_TAGS)) == 9
+        assert len(qdiv.CONTRACTIVE) == 7
+        assert set(qdiv.CONTRACTIVE) == self.CONTRACTIVE
+        assert len(qdiv.NON_CONTRACTIVE) == 2
+        assert set(qdiv.NON_CONTRACTIVE) == {"hs_dist", "d_inf"}
+        assert set(qdiv.ALL_TAGS) == self.CONTRACTIVE | {"hs_dist", "d_inf"}
+        assert len(qdiv.TRANSPOSE_INVARIANT) == 4
+        assert set(qdiv.TRANSPOSE_INVARIANT) == {"trace_dist", "rel_entropy", "qsd", "holevo_skew"}
+        assert len(qdiv.JOINTLY_CONVEX) == 6
+        assert set(qdiv.JOINTLY_CONVEX) == {
+            "rel_entropy", "hs_dist", "d_inf", "qsd", "holevo_skew", "qjs"
+        }
+        assert set(qdiv.NEEDS_MU) == {"qsd", "holevo_skew"}
+        base_dependent = {t for t, s in qdiv.QUANTIFIERS.items() if s.base_dependent}
+        assert base_dependent == {"rel_entropy", "qjs"}
+        assert set(BOUNDED) == set(ALL_TAGS) - {"rel_entropy"}
+
+    def test_plateaus_maxima_and_scalings(self):
+        assert qdiv.PLATEAU_VALUE == self.PLATEAU
+        maxima = {t: s.maximum for t, s in qdiv.QUANTIFIERS.items()}
+        assert maxima == dict(self.PLATEAU, rel_entropy=None, hs_dist=1.0, d_inf=1.0)
+        caps = {t: s.amplification_cap(4) for t, s in qdiv.QUANTIFIERS.items()}
+        assert caps == dict.fromkeys(self.CONTRACTIVE, 1.0) | {"hs_dist": 2.0, "d_inf": 4.0}
+        tau = validate_density(np.diag([0.75, 0.25]))
+        factors = {t: s.assignment_factor(tau) for t, s in qdiv.QUANTIFIERS.items()}
+        scaled = {"hs_dist": math.sqrt(0.625), "d_inf": 0.75}
+        assert factors == dict.fromkeys(self.CONTRACTIVE, 1.0) | scaled
+
+
 class TestClassicalReduction:
     @pytest.mark.parametrize("q", all_quantifiers(), ids=lambda q: q.label)
     def test_gap_on_commuting_pairs(self, q):
