@@ -162,7 +162,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         command="suite",
         quantifiers=args.q or [],
         mu=args.mu,
-        dims=args.dim,
+        dims=args.dim or RunConfig.dims,
         trials=args.trials,
         seed=_resolve_seed(args.seed),
         out=args.out,
@@ -192,6 +192,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _csv_number(x) -> str:
+    # to_dict has already written a non-finite number as "inf", "-inf" or "nan".
+    return x if isinstance(x, str) else repr(x)
+
+
 def _write_report_file(cfg: RunConfig, records: list[dict]) -> None:
     path = Path(cfg.out)
     if cfg.format == "csv":
@@ -200,7 +205,7 @@ def _write_report_file(cfg: RunConfig, records: list[dict]) -> None:
             if "violations" in rec:
                 lines.append(
                     f"{rec['suite']},{rec['quantifier']},{rec['trials']},"
-                    f"{rec['violations']},{rec['worst_margin']!r},{rec['seed']}"
+                    f"{rec['violations']},{_csv_number(rec['worst_margin'])},{rec['seed']}"
                 )
             else:
                 lines.append(
@@ -262,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--q", action="append", help="quantifier tag (repeatable)")
     p_suite.add_argument("--mu", type=float, default=0.3)
     p_suite.add_argument(
-        "--dim", type=_parse_dims, default="2-6", help="dimension or range, e.g. 4 or 2-6"
+        "--dim",
+        type=_parse_dims,
+        default=None,
+        help="dimension or range, e.g. 4 or 2-6 (default 2-6); optimal-pair takes one "
+        "dimension (default 2)",
     )
     p_suite.add_argument("--trials", type=_trial_count, default=None)
     p_suite.add_argument("--seed", type=int, default=None)
@@ -278,9 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_search_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """``suite optimal-pair`` runs one search at one dimension; a --dim range
+    or a --trials count is refused rather than dropped."""
+    if args.dim is not None and args.dim[0] < args.dim[1]:
+        parser.error(
+            f"argument --dim: suite optimal-pair searches at one dimension, "
+            f"got the range {args.dim[0]}-{args.dim[1]}"
+        )
+    if args.trials is not None:
+        parser.error("argument --trials: suite optimal-pair runs one search and takes no trial count")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "suite" and args.suite == "optimal-pair":
+        _check_search_args(parser, args)
     try:
         return args.func(args)
     except DivergelabError as exc:

@@ -33,7 +33,7 @@ def as_matrix(obj) -> np.ndarray:
     m = np.asarray(obj, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise DomainError("matrix contains NaN or Inf entries")
     return m
 
@@ -65,15 +65,35 @@ class SpectralDecomposition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > 1e-8 * mags.max()))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            out[:, k] = col * (np.abs(pivot) / pivot)
-    return out
+    """Scale each column by the phase that makes its pivot (the first
+    component with magnitude above 1e-8 of the column's max) real and
+    positive; a column with a zero pivot is left as it is."""
+    n = vectors.shape[1]
+    if n == 0:
+        return vectors.copy()
+    mags = np.abs(vectors)
+    first = (mags > 1e-8 * np.maximum.reduce(mags)).argmax(0)
+    cols = np.arange(n)
+    pivot = vectors[first, cols]
+    size = mags[first, cols]
+    factor = np.divide(size, pivot, out=np.ones(n, dtype=np.complex128), where=size > 0)
+    # Each column times its own scalar, as a column-by-column loop does it;
+    # at d = 1 a plain ``vectors * factor`` differs from that in the last bit.
+    return (vectors.T * factor[:, None]).T.copy()
+
+
+def hermitized_eig(m) -> tuple[np.ndarray, SpectralDecomposition]:
+    """The Hermitian part ``(m + m^dag) / 2`` of m and its spectral
+    decomposition, after the checks of ``eig_hermitian``."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"matrix is {m.shape}, expected square")
+    if not is_hermitian(m):
+        raise NotHermitian("matrix is not Hermitian within 1e-10 (relative)")
+    h = (m + dagger(m)) / 2.0
+    w, v = np.linalg.eigh(h)
+    order = np.argsort(-w, kind="stable")
+    return h, SpectralDecomposition(w[order].astype(float), _fix_phases(v[:, order]))
 
 
 def eig_hermitian(m) -> SpectralDecomposition:
@@ -81,14 +101,7 @@ def eig_hermitian(m) -> SpectralDecomposition:
 
     Raises NotHermitian when ``||m - m^dag||_F > 1e-10 * max(1, ||m||_F)``.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"matrix is {m.shape}, expected square")
-    if not is_hermitian(m):
-        raise NotHermitian("matrix is not Hermitian within 1e-10 (relative)")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    order = np.argsort(-w, kind="stable")
-    return SpectralDecomposition(w[order].astype(float), _fix_phases(v[:, order]))
+    return hermitized_eig(m)[1]
 
 
 def matrix_function(

@@ -43,20 +43,17 @@ class OptimizationResult:
     evaluations: int
 
 
-def _params_to_pair(x: np.ndarray, dim: int) -> StatePair:
-    n = dim * dim
-    blocks = x.reshape(4, n)
-
-    def state(re: np.ndarray, im: np.ndarray) -> DensityMatrix:
-        g = (re + 1j * im).reshape(dim, dim)
-        m = g @ g.conj().T
-        tr = float(np.real(np.trace(m)))
-        if tr < 1e-12:
-            m = m + np.eye(dim) * 1e-12
-            tr = float(np.real(np.trace(m)))
-        return validate_density(m / tr)
-
-    return StatePair(state(blocks[0], blocks[1]), state(blocks[2], blocks[3]))
+def _state(half: np.ndarray, dim: int) -> DensityMatrix:
+    """The state G G^dag / Tr(G G^dag) of one half of the parameter vector:
+    the real parts of G's entries, then their imaginary parts."""
+    re, im = half.reshape(2, dim * dim)
+    g = (re + 1j * im).reshape(dim, dim)
+    m = g @ g.conj().T
+    tr = float(m.trace().real)
+    if tr < 1e-12:
+        m = m + np.eye(dim) * 1e-12
+        tr = float(m.trace().real)
+    return validate_density(m / tr)
 
 
 def optimal_pair_search(
@@ -79,12 +76,24 @@ def optimal_pair_search(
     if not 2 <= dim <= 6:
         raise ValueError(f"dim must be in 2..6, got {dim}")
 
-    def objective(x: np.ndarray) -> float:
-        p = _params_to_pair(x, dim)
-        return qdiv.evaluate(q, p.first, p.second).value
+    half = 2 * dim * dim
+
+    def objective(x: np.ndarray, incumbent: dict) -> tuple[float, StatePair]:
+        """Value and pair at x. ``incumbent`` maps the bytes of each half of the
+        incumbent point to its state; a half found there is not rebuilt, so a
+        compass step, which moves one coordinate, builds one state."""
+        states = []
+        for h in (x[:half], x[half:]):
+            key = h.tobytes()
+            states.append(incumbent[key] if key in incumbent else _state(h, dim))
+        pair = StatePair(*states)
+        return qdiv.evaluate(q, pair.first, pair.second).value, pair
+
+    def states_of(x: np.ndarray, pair: StatePair) -> dict:
+        return {x[:half].tobytes(): pair.first, x[half:].tobytes(): pair.second}
 
     n_params = 4 * dim * dim
-    best_x = None
+    best_pair = None
     best_value = -math.inf
     evaluations = 0
     restarts_used = 0
@@ -93,7 +102,8 @@ def optimal_pair_search(
     for restart in range(restarts):
         rng = derive_rng(seed, restart)
         x = rng.standard_normal(n_params)
-        value = objective(x)
+        value, pair = objective(x, {})
+        incumbent = states_of(x, pair)
         evaluations += 1
         step = STEP_INIT
         used = 1
@@ -105,10 +115,11 @@ def optimal_pair_search(
                         break
                     trial = x.copy()
                     trial[k] += sign * step
-                    trial_value = objective(trial)
+                    trial_value, trial_pair = objective(trial, incumbent)
                     used += 1
                     if trial_value > value + 1e-14:
-                        x, value = trial, trial_value
+                        x, value, pair = trial, trial_value, trial_pair
+                        incumbent = states_of(x, pair)
                         improved = True
                         break
                 if used >= budget:
@@ -120,17 +131,16 @@ def optimal_pair_search(
         if step < STEP_TOL:
             any_settled = True
         if value > best_value:
-            best_value, best_x = value, x
+            best_value, best_pair = value, pair
         if best_value >= target - 1e-4:
             break
 
-    pair = _params_to_pair(best_x, dim)
-    check = are_orthogonal(pair, tol=ORTHO_TOL_OPTIMIZER)
+    check = are_orthogonal(best_pair, tol=ORTHO_TOL_OPTIMIZER)
     return OptimizationResult(
-        pair=pair,
+        pair=best_pair,
         value=best_value,
         orthogonality_overlap=check.overlap,
-        purities=(purity(pair.first), purity(pair.second)),
+        purities=(purity(best_pair.first), purity(best_pair.second)),
         restarts_used=restarts_used,
         converged=any_settled,
         evaluations=evaluations,

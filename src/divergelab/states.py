@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import matcore
-from .errors import BadRank, DimMismatch, NotHermitian, NotPSD, TraceNotOne
+from .errors import BadRank, DimensionMismatch, NotHermitian, NotPSD, TraceNotOne
 from .matcore import SpectralDecomposition, dagger
 from .sampling import derive_rng, ginibre, haar_unitary, random_unit_vector
 
@@ -58,31 +58,34 @@ class StatePair(NamedTuple):
 
 def pair(first: DensityMatrix, second: DensityMatrix) -> StatePair:
     if first.dim != second.dim:
-        raise DimMismatch(f"state dims differ: {first.dim} vs {second.dim}")
+        raise DimensionMismatch(f"state dims differ: {first.dim} vs {second.dim}")
     return StatePair(first, second)
 
 
 def validate_density(m) -> DensityMatrix:
     """Validate and wrap a matrix as a quantum state.
 
-    Checks, in order: Hermiticity (NotHermitian), positivity down to -1e-10
-    with smaller negatives clipped to 0 (NotPSD), unit trace within 1e-10
-    (TraceNotOne).
+    Checks, in order: finite entries (DomainError), a square matrix
+    (DimensionMismatch), Hermiticity (NotHermitian), at least one row
+    (DimensionMismatch), positivity down to -1e-10 with smaller negatives
+    clipped to 0 (NotPSD), unit trace within 1e-10 (TraceNotOne). The
+    stored matrix is the Hermitian part that the eigensolve used.
     """
-    m = matcore.as_matrix(m)
     try:
-        dec = matcore.eig_hermitian(m)
+        hermitized, dec = matcore.hermitized_eig(m)
     except NotHermitian:
         raise NotHermitian("density matrix must be Hermitian within 1e-10") from None
-    lam = dec.eigenvalues
-    if float(lam.min()) < -matcore.EIGENVALUE_CLIP:
-        raise NotPSD(f"eigenvalue {lam.min():.3e} below -1e-10")
-    tr = float(np.real(np.trace(m)))
+    lam = dec.eigenvalues  # sorted descending, so lam[-1] is the smallest
+    if lam.size == 0:
+        raise DimensionMismatch("a density matrix needs dim >= 1, got a 0x0 matrix")
+    if lam[-1] < -matcore.EIGENVALUE_CLIP:
+        raise NotPSD(f"eigenvalue {lam[-1]:.3e} below -1e-10")
+    tr = float(hermitized.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace is {tr!r}, expected 1 within 1e-10")
-    lam = np.where(lam < 0.0, 0.0, lam)
-    hermitized = (m + dagger(m)) / 2.0
-    return DensityMatrix(hermitized, SpectralDecomposition(lam, dec.eigenvectors), m.shape[0])
+    if lam[-1] < 0.0:
+        dec = SpectralDecomposition(np.where(lam < 0.0, 0.0, lam), dec.eigenvectors)
+    return DensityMatrix(hermitized, dec, hermitized.shape[0])
 
 
 def pure_state(vector) -> DensityMatrix:

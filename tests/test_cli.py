@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from divergelab.cli import main
+from divergelab.cli import RunConfig, _write_report_file, main
+from divergelab.harness import PropertyReport
 
 
 def run(argv, capsys):
@@ -174,10 +175,52 @@ class TestSuiteInputChecks:
         assert "argument --dim" in err
         assert "low >= high" not in err
 
+    @pytest.mark.parametrize("dims", ["2-4", "3-6"])
+    def test_optimal_pair_refuses_a_dim_range(self, dims, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "optimal-pair", "--q", "trace_dist", "--dim", dims, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "argument --dim: suite optimal-pair searches at one dimension" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("dims", [[], ["--dim", "2"]])
+    def test_optimal_pair_refuses_trials(self, dims, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "optimal-pair", "--q", "trace_dist", "--trials", "1", "--seed", "3"] + dims)
+        assert exc.value.code == 2
+        assert "argument --trials" in capsys.readouterr().err
+
+    def test_optimal_pair_without_dim_searches_at_dim_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, stdout, _ = run(
+            ["suite", "optimal-pair", "--q", "trace_dist", "--seed", "9", "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert "suite=optimal-pair q=trace_dist dim=2 " in stdout
+        report = json.loads(out.read_text())
+        assert report["config"]["dims"] == [2, 6]
+        assert report["results"][0]["dim"] == 2
+
     def test_omitted_trials_take_the_suite_default(self, capsys):
         code, out, _ = run(["suite", "stinespring", "--seed", "2"], capsys)
         assert code == 0
         assert "suite=stinespring q=trace_dist trials=50 violations=0" in out
+
+
+class TestCsvReport:
+    @pytest.mark.parametrize(
+        "margin, written", [(-math.inf, "-inf"), (math.nan, "nan"), (0.125, "0.125")]
+    )
+    def test_worst_margin_is_written_unquoted(self, margin, written, tmp_path):
+        report = PropertyReport("kadison", "hs_dist", 3, 1, margin, 1, 1e-9)
+        out = tmp_path / "r.csv"
+        _write_report_file(RunConfig("suite", out=str(out), format="csv"), [report.to_dict()])
+        lines = out.read_text().splitlines()
+        assert lines == [
+            "suite,quantifier,trials,violations,worst_margin,seed",
+            f"kadison,hs_dist,3,1,{written},1",
+        ]
 
 
 class TestCounterexample:

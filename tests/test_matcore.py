@@ -55,6 +55,72 @@ class TestEigHermitian:
         with pytest.raises(DimensionMismatch):
             matcore.eig_hermitian(np.zeros((2, 3)))
 
+    def test_empty_matrix_gives_empty_decomposition(self):
+        dec = matcore.eig_hermitian(np.zeros((0, 0)))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.eigenvectors.shape == (0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_imaginary_part_is_domain_error(self, bad):
+        m = np.eye(2, dtype=np.complex128)
+        m.imag[0, 1] = bad
+        with pytest.raises(DomainError):
+            matcore.eig_hermitian(m)
+
+
+def _fix_phases_loop(vectors: np.ndarray) -> np.ndarray:
+    """Reference: the column-by-column phase fix that ``_fix_phases`` replaces."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        mags = np.abs(col)
+        idx = int(np.argmax(mags > 1e-8 * mags.max()))
+        pivot = col[idx]
+        if np.abs(pivot) > 0:
+            out[:, k] = col * (np.abs(pivot) / pivot)
+    return out
+
+
+def _sorted_eigenvectors(m: np.ndarray) -> np.ndarray:
+    """Eigenvectors as ``eig_hermitian`` hands them to ``_fix_phases``."""
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return v[:, np.argsort(-w, kind="stable")]
+
+
+def _phase_cases(dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    cases = [_sorted_eigenvectors(random_psd(dim, rng)) for _ in range(4)]
+    # Degenerate spectrum: eigenvalues drawn from {0, 1, 2}.
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    lam = rng.integers(0, 3, dim).astype(float)
+    cases.append(_sorted_eigenvectors((u * lam) @ u.conj().T))
+    # Leading components below 1e-8 of the column max, so the pivot is not row 0.
+    m = random_psd(dim, rng)
+    m[0, 1:] *= 1e-12
+    m[1:, 0] *= 1e-12
+    cases.append(_sorted_eigenvectors(m))
+    # Permuted identity columns times phases, in both memory layouts.
+    perm = rng.permutation(dim)
+    phased = np.eye(dim)[:, perm] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
+    cases += [phased, np.ascontiguousarray(phased)]
+    return cases
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("dim", list(range(1, 17)) + [32, 64])
+    def test_bitwise_equal_to_column_loop(self, dim, rng):
+        for vectors in _phase_cases(dim, rng):
+            got = matcore._fix_phases(vectors)
+            want = _fix_phases_loop(vectors)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+
+    def test_zero_column_is_left_as_it_is(self):
+        vectors = np.array([[1j, 0.0], [0.0, 0.0]])
+        assert _fix_phases_loop(vectors).tobytes() == matcore._fix_phases(vectors).tobytes()
+
+    def test_empty(self):
+        assert matcore._fix_phases(np.zeros((0, 0), dtype=np.complex128)).shape == (0, 0)
+
 
 class TestMatrixFunction:
     def test_sqrt_diagonal(self):

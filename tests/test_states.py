@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from divergelab import matcore, states
-from divergelab.errors import BadRank, DimMismatch, NotHermitian, NotPSD, TraceNotOne
+from divergelab.errors import (
+    BadRank,
+    DimensionMismatch,
+    DimMismatch,
+    DomainError,
+    NotHermitian,
+    NotPSD,
+    TraceNotOne,
+)
 from divergelab.states import (
     StatePair,
     are_orthogonal,
@@ -45,6 +53,37 @@ class TestValidateDensity:
     def test_roundoff_negatives_clipped(self):
         rho = validate_density(np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.eigenvalues.min() == 0.0
+
+    def test_empty_matrix_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="0x0"):
+            validate_density(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_imaginary_part_is_domain_error(self, bad):
+        m = np.eye(2, dtype=np.complex128) / 2
+        m.imag[1, 0] = bad
+        with pytest.raises(DomainError):
+            validate_density(m)
+
+    def test_checks_keep_their_order(self):
+        # Finite before square, square before Hermitian, Hermitian before
+        # positivity, positivity before the trace.
+        with pytest.raises(DomainError):
+            validate_density(np.array([[np.nan, 0.0]]))
+        with pytest.raises(DimensionMismatch, match="expected square"):
+            validate_density(np.array([[0.5, 1.0]]))
+        with pytest.raises(NotHermitian, match="density matrix must be Hermitian"):
+            validate_density(np.array([[2.0, 1.0], [0.0, -3.0]]))
+        with pytest.raises(NotPSD, match="below -1e-10"):
+            validate_density(np.diag([3.0, -1.0]))
+
+    def test_stored_matrix_is_the_hermitian_part(self, rng):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = g @ g.conj().T
+        m = m / np.trace(m).real
+        m[0, 1] += 1e-13  # Hermitian within 1e-10, not exactly
+        rho = validate_density(m)
+        assert rho.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
     def test_pair_dim_check(self):
         with pytest.raises(DimMismatch):
