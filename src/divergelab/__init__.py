@@ -28,7 +28,6 @@ from .cdiv import (
     distribution,
     f_divergence,
     f_eval,
-    named_divergence,
     sample_stochastic,
 )
 from .errors import DivergelabError
@@ -47,7 +46,6 @@ from .harness import (
 )
 from .matcore import (
     eig_hermitian,
-    matrix_function,
     partial_trace,
     schatten_norm,
     support_projector,

@@ -201,24 +201,6 @@ def f_divergence(
     return QuantifierResult.of(total)
 
 
-_NAMED = {
-    "kl": lambda mu: kl(),
-    "skew": lambda mu: skew(mu),
-    "hsd": lambda mu: hsd(mu),
-    "js": lambda mu: js(),
-    "kolmogorov": lambda mu: vd(),
-}
-
-
-def named_divergence(
-    name: str, p: Distribution, q: Distribution, mu: Optional[float] = None
-) -> QuantifierResult:
-    """Divergence by name: kl, skew, hsd, js, kolmogorov."""
-    if name not in _NAMED:
-        raise ValueError(f"unknown divergence name {name!r}")
-    return f_divergence(_NAMED[name](mu), p, q)
-
-
 # Closed-form comparisons on eigenvalue vectors, used by the quantum side
 # when a pair commutes.
 

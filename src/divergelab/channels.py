@@ -284,7 +284,7 @@ class TwirlEstimate(NamedTuple):
     error: float
 
 
-def haar_twirl_mc(x, samples: int, seed: int = 0, chunk: int = 20000) -> TwirlEstimate:
+def haar_twirl_mc(x, samples: int, seed: int = 0) -> TwirlEstimate:
     """Monte Carlo average of V X V^dag over Haar unitaries.
 
     The exact average is Tr(X) 1/n; the Frobenius distance of the estimate
@@ -298,6 +298,7 @@ def haar_twirl_mc(x, samples: int, seed: int = 0, chunk: int = 20000) -> TwirlEs
         raise ValueError("samples must be >= 1")
     rng = derive_rng(seed)
     acc = np.zeros((n, n), dtype=np.complex128)
+    chunk = 20000  # Haar unitaries per draw, which bounds its memory
     remaining = samples
     while remaining > 0:
         batch = min(chunk, remaining)
@@ -307,18 +308,3 @@ def haar_twirl_mc(x, samples: int, seed: int = 0, chunk: int = 20000) -> TwirlEs
     estimate = acc / samples
     target = np.trace(x) * np.eye(n) / n
     return TwirlEstimate(estimate, target, float(np.linalg.norm(estimate - target)))
-
-
-def channel_to_dict(ch: KrausChannel) -> dict:
-    if ch.dim_in != ch.dim_out:
-        raise DimensionMismatch("JSON channel format holds square Kraus families only")
-    return {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus": [matcore.matrix_to_dict(k) for k in ch.kraus_ops],
-    }
-
-
-def channel_from_dict(d: dict) -> KrausChannel:
-    ops = [matcore.matrix_from_dict(k) for k in d["kraus"]]
-    return kraus_channel(ops, int(d["dim_in"]), int(d["dim_out"]))

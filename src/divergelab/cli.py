@@ -27,22 +27,6 @@ from .states import DensityMatrix, load_fixture, state_from_dict, state_from_spe
 
 SEED_ENV_VAR = "DIVERGELAB_SEED"
 
-# Per suite, the quantifier tags it runs when --q is not given; None for the
-# suites that take no quantifier.
-_DEFAULT_TAGS = {
-    "dpi": qdiv.CONTRACTIVE,
-    "invariance": qdiv.ALL_TAGS,
-    "optimal-pair": ("trace_dist",),
-    "plateau": tuple(qdiv.PLATEAU_VALUE),
-    "joint-convexity": qdiv.JOINTLY_CONVEX,
-    "kadison": None,
-    "purity-bound": None,
-    "stinespring": ("trace_dist",),
-}
-
-SUITES = tuple(_DEFAULT_TAGS)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -53,7 +37,6 @@ class RunConfig:
     seed: int = 0
     out: Optional[str] = None
     format: str = "json"
-    log_base: str = "nat"
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> int:
@@ -111,25 +94,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(suite: str, q: Optional[QuantifierId], cfg: RunConfig) -> list[PropertyReport]:
-    """Run one (report suite, quantifier) combination. The trial count is
-    passed only when given, so each suite's default stays in the harness."""
-    kw = {"seed": cfg.seed} if cfg.trials is None else {"seed": cfg.seed, "trials": cfg.trials}
-    if suite == "dpi":
-        return [harness.dpi_suite(q, dim_range=cfg.dims, **kw)]
-    if suite == "invariance":
-        return harness.invariance_suite(q, **kw).all_reports()
-    if suite == "plateau":
-        return [harness.orthogonal_plateau_check(q, dim_range=cfg.dims, **kw)]
-    if suite == "joint-convexity":
-        return [harness.joint_convexity_suite(q, **kw)]
-    if suite == "kadison":
-        return [harness.kadison_bound_check(**kw)]
-    if suite == "purity-bound":
-        return [harness.purity_bound_check(**kw)]
-    return [harness.stinespring_dpi_equivalence(q, **kw)]
-
-
 def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, dict]:
     """Summary line, verdict and report record of one search."""
     dim = cfg.dims[0]
@@ -154,9 +118,45 @@ def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, dict]:
     return line, ok, record
 
 
+def _reports(reports: list[PropertyReport]) -> list[tuple[str, bool, dict]]:
+    return [(r.summary_line(), r.passed, r.to_dict()) for r in reports]
+
+
+# Per suite: the quantifier tags it runs when --q is not given (None for the
+# suites that take no quantifier), and its runner. A runner takes the
+# quantifier, the config and the keyword arguments of the harness call, and
+# returns a (summary line, verdict, record) per report. Runners look each
+# harness function up when called, so a rebound ``harness`` name sees it.
+_SUITES = {
+    "dpi": (
+        qdiv.CONTRACTIVE,
+        lambda q, cfg, kw: _reports([harness.dpi_suite(q, dim_range=cfg.dims, **kw)]),
+    ),
+    "invariance": (
+        qdiv.ALL_TAGS,
+        lambda q, cfg, kw: _reports(harness.invariance_suite(q, **kw).all_reports()),
+    ),
+    "optimal-pair": (("trace_dist",), lambda q, cfg, kw: [_optimal_pair(q, cfg)]),
+    "plateau": (
+        tuple(qdiv.PLATEAU_VALUE),
+        lambda q, cfg, kw: _reports([harness.orthogonal_plateau_check(q, dim_range=cfg.dims, **kw)]),
+    ),
+    "joint-convexity": (
+        qdiv.JOINTLY_CONVEX,
+        lambda q, cfg, kw: _reports([harness.joint_convexity_suite(q, **kw)]),
+    ),
+    "kadison": (None, lambda q, cfg, kw: _reports([harness.kadison_bound_check(**kw)])),
+    "purity-bound": (None, lambda q, cfg, kw: _reports([harness.purity_bound_check(**kw)])),
+    "stinespring": (
+        ("trace_dist",),
+        lambda q, cfg, kw: _reports([harness.stinespring_dpi_equivalence(q, **kw)]),
+    ),
+}
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}", file=sys.stderr)
+    if args.suite not in _SUITES:
+        print(f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}", file=sys.stderr)
         return 2
     cfg = RunConfig(
         command="suite",
@@ -167,22 +167,19 @@ def cmd_suite(args: argparse.Namespace) -> int:
         seed=_resolve_seed(args.seed),
         out=args.out,
         format=args.format,
-        log_base=args.log_base,
     )
-    default_tags = _DEFAULT_TAGS[args.suite]
+    default_tags, run = _SUITES[args.suite]
     if default_tags is None:
         quantifiers = [None]
     else:
         quantifiers = [qdiv.quantifier(tag, args.mu) for tag in args.q or default_tags]
+    # The trial count is passed only when given, so each suite's default
+    # stays in the harness.
+    kw = {"seed": cfg.seed} if cfg.trials is None else {"seed": cfg.seed, "trials": cfg.trials}
     records: list[dict] = []
     exit_code = 0
     for q in quantifiers:
-        if args.suite == "optimal-pair":
-            outcomes = [_optimal_pair(q, cfg)]
-        else:
-            reports = _run_one(args.suite, q, cfg)
-            outcomes = [(r.summary_line(), r.passed, r.to_dict()) for r in reports]
-        for line, passed, record in outcomes:
+        for line, passed, record in run(q, cfg, kw):
             print(line)
             if not passed:
                 exit_code = 1
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=None)
     p_suite.add_argument("--out", default=None)
     p_suite.add_argument("--format", choices=("json", "csv"), default="json")
-    p_suite.add_argument("--log-base", choices=("nat", "bits"), default="nat")
     p_suite.set_defaults(func=cmd_suite)
 
     p_cx = sub.add_parser("counterexample", help="closed-form contraction violations")

@@ -9,10 +9,6 @@ class DimensionMismatch(DivergelabError):
     """Operands have incompatible shapes or factor dimensions."""
 
 
-# Alias used where the mismatch is between two states rather than factors.
-DimMismatch = DimensionMismatch
-
-
 class NotHermitian(DivergelabError):
     """Matrix is not Hermitian within tolerance."""
 
@@ -26,7 +22,7 @@ class TraceNotOne(DivergelabError):
 
 
 class DomainError(DivergelabError):
-    """Scalar function evaluated outside its domain on a retained eigenvalue."""
+    """Matrix contains NaN or Inf entries."""
 
 
 class BadRank(DivergelabError):

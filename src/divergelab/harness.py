@@ -454,32 +454,26 @@ class CounterexampleRecord(NamedTuple):
         return {"n": self.n, "before": self.before, "after": self.after, "ratio": self.ratio}
 
 
-def _counterexample_pair(n: int) -> tuple[StatePair, KrausChannel]:
-    """Qubit projectors tensored with a maximally mixed n-dim environment,
-    and the partial trace that removes the environment."""
+def _counterexample(distance, n: int) -> CounterexampleRecord:
+    """A qubit projector pair tensored with a maximally mixed n-dim
+    environment, before and after the partial trace that removes it."""
     if n < 2:
         raise ValueError(f"environment dimension must be >= 2, got {n}")
-    p_plus = np.diag([1.0, 0.0])
-    p_minus = np.diag([0.0, 1.0])
     env = np.eye(n) / n
-    pair = StatePair(
-        validate_density(np.kron(p_plus, env)), validate_density(np.kron(p_minus, env))
-    )
-    return pair, channels.partial_trace_channel(2, n)
+    rho = validate_density(np.kron(np.diag([1.0, 0.0]), env))
+    sigma = validate_density(np.kron(np.diag([0.0, 1.0]), env))
+    ch = channels.partial_trace_channel(2, n)
+    before = distance(rho, sigma).value
+    after = distance(apply(ch, rho), apply(ch, sigma)).value
+    return CounterexampleRecord(n, before, after, after / before)
 
 
 def hs_counterexample(n: int) -> CounterexampleRecord:
     """Partial trace amplifying the Hilbert-Schmidt distance by sqrt(n):
     the strongest violation its norm bound admits."""
-    pair, ch = _counterexample_pair(n)
-    before = qdiv.hs_distance(pair.first, pair.second).value
-    after = qdiv.hs_distance(apply(ch, pair.first), apply(ch, pair.second)).value
-    return CounterexampleRecord(n, before, after, after / before)
+    return _counterexample(qdiv.hs_distance, n)
 
 
 def dinf_counterexample(n: int) -> CounterexampleRecord:
     """Same pair, operator-norm quantifier: amplification by exactly n."""
-    pair, ch = _counterexample_pair(n)
-    before = qdiv.d_infinity(pair.first, pair.second).result.value
-    after = qdiv.d_infinity(apply(ch, pair.first), apply(ch, pair.second)).result.value
-    return CounterexampleRecord(n, before, after, after / before)
+    return _counterexample(qdiv.d_infinity, n)

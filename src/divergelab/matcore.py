@@ -1,17 +1,17 @@
 """Dense complex linear algebra kernel.
 
 Hermitian eigendecomposition with a reproducible ordering and phase
-convention, spectral matrix functions, Schatten norms, tensor products,
-partial traces and support projectors. Everything is computed spectrally:
-dimensions stay small (<= ~64), so exactness beats speed.
+convention, Schatten norms, tensor products, partial traces and support
+projectors. Everything is computed spectrally: dimensions stay small
+(<= ~64), so exactness beats speed.
 
 The universal numeric carrier is a dense complex ``numpy.ndarray``; matrices
-exchanged as JSON use ``{"dim": n, "re": [[...]], "im": [[...]]}`` row-major.
+read from JSON use ``{"dim": n, "re": [[...]], "im": [[...]]}`` row-major.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -104,41 +104,6 @@ def eig_hermitian(m) -> SpectralDecomposition:
     return hermitized_eig(m)[1]
 
 
-def matrix_function(
-    m,
-    f: Callable[[np.ndarray], np.ndarray],
-    zero_policy: Literal["apply", "skip"] = "apply",
-    tol: float = SUPPORT_TOL,
-) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix spectrally.
-
-    With ``zero_policy="skip"``, eigenvalues below the support threshold are
-    passed through as 0 without evaluating ``f`` (the ``0 log 0 = 0``
-    convention). Eigenvalues in [-1e-10, 0) are clipped to 0 first; raising
-    DomainError if ``f`` comes out non-finite on a retained eigenvalue.
-    """
-    dec = eig_hermitian(m)
-    lam = dec.eigenvalues.copy()
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    lam[(lam < 0) & (lam >= -EIGENVALUE_CLIP * scale)] = 0.0
-    if zero_policy == "skip":
-        keep = np.abs(lam) > tol * scale
-        flam = np.zeros_like(lam)
-        if np.any(keep):
-            flam[keep] = f(lam[keep])
-    elif zero_policy == "apply":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            flam = f(lam) if lam.size else lam
-    else:
-        raise ValueError(f"unknown zero_policy {zero_policy!r}")
-    flam = np.asarray(flam, dtype=float)
-    if not np.all(np.isfinite(flam)):
-        raise DomainError("scalar function non-finite on a retained eigenvalue")
-    v = dec.eigenvectors
-    out = (v * flam) @ dagger(v)
-    return (out + dagger(out)) / 2.0
-
-
 SchattenKind = Literal["trace", "hilbert_schmidt", "operator"]
 
 
@@ -201,14 +166,6 @@ def support_projector(m, tol: float = SUPPORT_TOL) -> np.ndarray:
         raise NotPSD(f"eigenvalue {lam.min():.3e} below -{tol * scale:.3e}")
     cols = dec.eigenvectors[:, lam > tol * scale]
     return cols @ dagger(cols)
-
-
-def matrix_to_dict(m) -> dict:
-    """JSON-ready form {"dim": n, "re": [[...]], "im": [[...]]} (square only)."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("JSON matrix format is for square matrices")
-    return {"dim": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:

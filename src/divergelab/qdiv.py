@@ -18,15 +18,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import cdiv, matcore
-from .errors import BadMu, DimMismatch, NotCommuting, WeightError
+from .errors import BadMu, DimensionMismatch, NotCommuting, WeightError
 from .matcore import dagger
 from .result import QuantifierResult
-from .states import DensityMatrix, StatePair, commute, pure_state, purity, validate_density
+from .states import DensityMatrix, StatePair, commute, purity, validate_density
 
 
 def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
     if rho.dim != sigma.dim:
-        raise DimMismatch(f"state dims differ: {rho.dim} vs {sigma.dim}")
+        raise DimensionMismatch(f"state dims differ: {rho.dim} vs {sigma.dim}")
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -99,7 +99,7 @@ def holevo_chi(ensemble: Sequence[tuple[float, DensityMatrix]]) -> float:
     dim = ensemble[0][1].dim
     for _, state in ensemble:
         if state.dim != dim:
-            raise DimMismatch("ensemble states must share a dimension")
+            raise DimensionMismatch("ensemble states must share a dimension")
     average = validate_density(sum(w * s.matrix for w, s in ensemble))
     value = von_neumann_entropy(average) - sum(w * von_neumann_entropy(s) for w, s in ensemble)
     return QuantifierResult.of(value).value
@@ -149,21 +149,12 @@ def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     return QuantifierResult.of(float(np.linalg.norm(rho.matrix - sigma.matrix)) / math.sqrt(2.0))
 
 
-class DInfinityResult(NamedTuple):
-    result: QuantifierResult
-    maximizer: DensityMatrix
-
-
-def d_infinity(rho: DensityMatrix, sigma: DensityMatrix) -> DInfinityResult:
-    """Operator norm of the difference, with the rank-one state achieving the
-    maximum of Tr |w (rho - sigma)| over states w as a witness."""
+def d_infinity(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
+    """Operator norm of the difference: the maximum of Tr |w (rho - sigma)| over states w."""
     _check_dims(rho, sigma)
     diff = rho.matrix - sigma.matrix
-    w, v = np.linalg.eigh((diff + dagger(diff)) / 2.0)
-    idx = int(np.argmax(np.abs(w)))
-    return DInfinityResult(
-        QuantifierResult.of(float(np.abs(w[idx]))), pure_state(v[:, idx])
-    )
+    w, _ = np.linalg.eigh((diff + dagger(diff)) / 2.0)
+    return QuantifierResult.of(float(np.max(np.abs(w))))
 
 
 def _joint_eigenbasis(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -199,14 +190,12 @@ class ClassicalReduction(NamedTuple):
 
 
 def classical_reduction(
-    q: QuantifierId,
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    commute_tol: float = 1e-10,
+    q: QuantifierId, rho: DensityMatrix, sigma: DensityMatrix
 ) -> ClassicalReduction:
     """Compare a quantifier on a commuting pair against its classical form on
     the joint eigenvalue distributions (matched ordering)."""
     _check_dims(rho, sigma)
+    commute_tol = 1e-10
     if not commute(StatePair(rho, sigma), tol=commute_tol):
         raise NotCommuting(f"pair does not commute within {commute_tol}")
     basis = _joint_eigenbasis(rho, sigma)
@@ -303,7 +292,7 @@ QUANTIFIERS = {
         amplification_cap=lambda env_dim: math.sqrt(env_dim),
     ),
     "d_inf": QuantifierSpec(
-        lambda r, s, mu: d_infinity(r, s).result,
+        lambda r, s, mu: d_infinity(r, s),
         lambda p, s, mu: QuantifierResult.of(cdiv.chebyshev_distance(p, s)),
         jointly_convex=True, maximum=1.0,
         assignment_factor=lambda tau: float(np.max(tau.eigenvalues)),

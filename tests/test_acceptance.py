@@ -125,8 +125,8 @@ def test_criterion_07_assignment_scaling():
         purity_tau = float(np.sum(tau.eigenvalues**2))
         assert abs(hs_after - math.sqrt(purity_tau) * hs_before) <= 1e-10
 
-        dinf_before = qdiv.d_infinity(rho, sigma).result.value
-        dinf_after = qdiv.d_infinity(big_rho, big_sigma).result.value
+        dinf_before = qdiv.d_infinity(rho, sigma).value
+        dinf_after = qdiv.d_infinity(big_rho, big_sigma).value
         tau_norm = float(np.max(tau.eigenvalues))
         assert abs(dinf_after - tau_norm * dinf_before) <= 1e-10
     _report("PASS criterion 7: assignment scaling identities within 1e-10 over 100 triples")

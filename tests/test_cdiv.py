@@ -9,7 +9,6 @@ from divergelab.cdiv import (
     distribution,
     f_divergence,
     f_eval,
-    named_divergence,
     sample_distribution,
     sample_stochastic,
 )
@@ -117,13 +116,15 @@ class TestFDivergence:
 
 
 class TestNamedDivergence:
+    """Closed forms and identities of the js, skew, hsd and vd (Kolmogorov) members."""
+
     def test_js_zero_on_equal(self):
         p = distribution([0.4, 0.6])
-        assert named_divergence("js", p, p).value < 1e-14
+        assert f_divergence(cdiv.js(), p, p).value < 1e-14
 
     def test_js_disjoint_value(self):
         # direct-formula oracle: log 2 in nats, i.e. exactly 1 bit
-        res = named_divergence("js", distribution([1, 0]), distribution([0, 1]))
+        res = f_divergence(cdiv.js(), distribution([1, 0]), distribution([0, 1]))
         assert res.value == pytest.approx(math.log(2), abs=1e-14)
         assert res.value / math.log(2) == pytest.approx(1.0, abs=1e-14)
 
@@ -135,35 +136,31 @@ class TestNamedDivergence:
         q /= q.sum()
         m = (p + q) / 2
         expected = 0.5 * kl_oracle(p, m) + 0.5 * kl_oracle(q, m)
-        got = named_divergence("js", distribution(p), distribution(q)).value
+        got = f_divergence(cdiv.js(), distribution(p), distribution(q)).value
         assert got == pytest.approx(expected, abs=1e-13)
 
     def test_skew_equals_hsd_at_half(self):
         for seed in range(20):
             p = sample_distribution(5, seed=seed)
             q = sample_distribution(5, seed=seed + 500)
-            a = named_divergence("skew", p, q, mu=0.5).value
-            b = named_divergence("hsd", p, q, mu=0.5).value
+            a = f_divergence(cdiv.skew(0.5), p, q).value
+            b = f_divergence(cdiv.hsd(0.5), p, q).value
             assert abs(a - b) < 1e-12
 
     def test_js_is_half_skew_times_log2(self):
         # the mu=1/2 members coincide with js up to the log-2 normalization
         p = sample_distribution(4, seed=1)
         q = sample_distribution(4, seed=2)
-        js_val = named_divergence("js", p, q).value
-        skew_val = named_divergence("skew", p, q, mu=0.5).value
+        js_val = f_divergence(cdiv.js(), p, q).value
+        skew_val = f_divergence(cdiv.skew(0.5), p, q).value
         assert js_val == pytest.approx(skew_val * math.log(2), abs=1e-12)
 
     def test_kolmogorov_alias(self):
         p = sample_distribution(4, seed=3)
         q = sample_distribution(4, seed=4)
-        assert named_divergence("kolmogorov", p, q).value == pytest.approx(
+        assert f_divergence(cdiv.vd(), p, q).value == pytest.approx(
             0.5 * np.abs(p.probs - q.probs).sum(), abs=1e-14
         )
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            named_divergence("renyi", sample_distribution(2, 0), sample_distribution(2, 1))
 
 
 class TestStochasticMaps:

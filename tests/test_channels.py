@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,8 +9,6 @@ from divergelab.channels import (
     apply,
     apply_to_matrix,
     assignment_channel,
-    channel_from_dict,
-    channel_to_dict,
     check_cptp,
     choi_matrix,
     compose,
@@ -286,9 +283,3 @@ class TestDiagnostics:
     def test_kraus_channel_factory_rejects_bad_families(self):
         with pytest.raises(InvalidChannel):
             kraus_channel([0.9 * np.eye(2)])
-
-
-def test_channel_json_roundtrip():
-    ch = random_cptp(2, 2, seed=12)
-    back = channel_from_dict(json.loads(json.dumps(channel_to_dict(ch))))
-    assert channels_agree(ch, back, 2, tol=1e-12)

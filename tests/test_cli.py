@@ -207,6 +207,13 @@ class TestSuiteInputChecks:
         assert code == 0
         assert "suite=stinespring q=trace_dist trials=50 violations=0" in out
 
+    def test_log_base_is_an_eval_flag_only(self, capsys):
+        # no suite converts its values, so a suite --log-base would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "dpi", "--q", "rel_entropy", "--log-base", "bits", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--log-base" in capsys.readouterr().err
+
 
 class TestCsvReport:
     @pytest.mark.parametrize(

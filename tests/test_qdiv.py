@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from divergelab import matcore, qdiv
-from divergelab.errors import BadMu, DimMismatch, NotCommuting, WeightError
+from divergelab import qdiv, states
+from divergelab.errors import BadMu, DimensionMismatch, NotCommuting, WeightError
 from divergelab.qdiv import (
     ALL_TAGS,
     BOUNDED,
@@ -76,7 +76,7 @@ class TestRelativeEntropy:
         assert not res.finite and math.isinf(res.value)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DimensionMismatch):
             relative_entropy(P_PLUS, maximally_mixed(3))
 
 
@@ -267,30 +267,38 @@ class TestHSDistance:
 
 class TestDInfinity:
     def test_projector_pair(self):
-        assert d_infinity(P_PLUS, P_MINUS).result.value == pytest.approx(1.0, abs=1e-12)
+        assert d_infinity(P_PLUS, P_MINUS).value == pytest.approx(1.0, abs=1e-12)
 
     def test_fixture_value(self):
-        assert d_infinity(load_fixture("w1"), load_fixture("w2")).result.value == pytest.approx(
+        assert d_infinity(load_fixture("w1"), load_fixture("w2")).value == pytest.approx(
             0.5, abs=1e-12
         )
 
-    def test_maximizer_witness(self):
-        for seed in range(10):
-            rho, sigma = _pair(4, 500 + seed)
-            value, witness = d_infinity(rho, sigma)
-            attained = matcore.schatten_norm(witness.matrix @ (rho.matrix - sigma.matrix), "trace")
-            assert attained == pytest.approx(value.value, abs=1e-10)
-            assert purity(witness) == pytest.approx(1.0, abs=1e-10)
+    def test_evaluate_builds_no_state(self, monkeypatch):
+        rho, sigma = _pair(4, 500)
+        calls = []
+        for module in (qdiv, states):
+            monkeypatch.setattr(
+                module,
+                "validate_density",
+                lambda m, validate=module.validate_density: calls.append(m) or validate(m),
+            )
+        result = evaluate(quantifier("d_inf"), rho, sigma)
+        assert isinstance(result, QuantifierResult)
+        assert result.value == pytest.approx(
+            float(np.max(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)))), abs=1e-12
+        )
+        assert calls == []
 
     def test_assignment_contraction_identity(self):
         for seed in range(25):
             rho, sigma = _pair(3, 600 + seed)
             tau = sample_state(2, "hs_mixed", seed=700 + seed)
-            before = d_infinity(rho, sigma).result.value
+            before = d_infinity(rho, sigma).value
             after = d_infinity(
                 validate_density(np.kron(rho.matrix, tau.matrix)),
                 validate_density(np.kron(sigma.matrix, tau.matrix)),
-            ).result.value
+            ).value
             assert abs(after - before * float(np.max(tau.eigenvalues))) < 1e-10
             assert after <= before + 1e-12
 

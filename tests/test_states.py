@@ -7,7 +7,7 @@ from divergelab import matcore, states
 from divergelab.errors import (
     BadRank,
     DimensionMismatch,
-    DimMismatch,
+    DimensionMismatch,
     DomainError,
     NotHermitian,
     NotPSD,
@@ -86,7 +86,7 @@ class TestValidateDensity:
         assert rho.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
     def test_pair_dim_check(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DimensionMismatch):
             pair(maximally_mixed(2), maximally_mixed(3))
 
 
