@@ -39,12 +39,27 @@ class RunConfig:
     format: str = "json"
 
 
-def _resolve_seed(arg_seed: Optional[int]) -> int:
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _resolve_seed(parser: argparse.ArgumentParser, arg_seed: Optional[int]) -> int:
+    """--seed, else the environment variable, else fresh entropy; a bad
+    environment value is a usage error that names the variable."""
     if arg_seed is not None:
         return arg_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"environment variable {SEED_ENV_VAR}: {exc}")
     return secrets.randbits(32)
 
 
@@ -124,32 +139,38 @@ def _reports(reports: list[PropertyReport]) -> list[tuple[str, bool, dict]]:
 
 # Per suite: the quantifier tags it runs when --q is not given (None for the
 # suites that take no quantifier), and its runner. A runner takes the
-# quantifier, the config and the keyword arguments of the harness call, and
-# returns a (summary line, verdict, record) per report. Runners look each
-# harness function up when called, so a rebound ``harness`` name sees it.
+# quantifier list, the config and the keyword arguments of the harness call,
+# and returns a (summary line, verdict, record) per report. A suite draws
+# each trial once for the whole list. Runners look each harness function up
+# when called, so a rebound ``harness`` name sees it.
 _SUITES = {
     "dpi": (
         qdiv.CONTRACTIVE,
-        lambda q, cfg, kw: _reports([harness.dpi_suite(q, dim_range=cfg.dims, **kw)]),
+        lambda qs, cfg, kw: _reports(harness.dpi_suite(qs, dim_range=cfg.dims, **kw).all_reports()),
     ),
     "invariance": (
         qdiv.ALL_TAGS,
-        lambda q, cfg, kw: _reports(harness.invariance_suite(q, **kw).all_reports()),
+        lambda qs, cfg, kw: _reports(harness.invariance_suite(qs, **kw).all_reports()),
     ),
-    "optimal-pair": (("trace_dist",), lambda q, cfg, kw: [_optimal_pair(q, cfg)]),
+    "optimal-pair": (
+        ("trace_dist",),
+        lambda qs, cfg, kw: [_optimal_pair(q, cfg) for q in qs],
+    ),
     "plateau": (
         tuple(qdiv.PLATEAU_VALUE),
-        lambda q, cfg, kw: _reports([harness.orthogonal_plateau_check(q, dim_range=cfg.dims, **kw)]),
+        lambda qs, cfg, kw: _reports(
+            harness.orthogonal_plateau_check(qs, dim_range=cfg.dims, **kw).all_reports()
+        ),
     ),
     "joint-convexity": (
         qdiv.JOINTLY_CONVEX,
-        lambda q, cfg, kw: _reports([harness.joint_convexity_suite(q, **kw)]),
+        lambda qs, cfg, kw: _reports(harness.joint_convexity_suite(qs, **kw).all_reports()),
     ),
-    "kadison": (None, lambda q, cfg, kw: _reports([harness.kadison_bound_check(**kw)])),
-    "purity-bound": (None, lambda q, cfg, kw: _reports([harness.purity_bound_check(**kw)])),
+    "kadison": (None, lambda qs, cfg, kw: _reports([harness.kadison_bound_check(**kw)])),
+    "purity-bound": (None, lambda qs, cfg, kw: _reports([harness.purity_bound_check(**kw)])),
     "stinespring": (
         ("trace_dist",),
-        lambda q, cfg, kw: _reports([harness.stinespring_dpi_equivalence(q, **kw)]),
+        lambda qs, cfg, kw: _reports(harness.stinespring_dpi_equivalence(qs, **kw).all_reports()),
     ),
 }
 
@@ -164,26 +185,24 @@ def cmd_suite(args: argparse.Namespace) -> int:
         mu=args.mu,
         dims=args.dim or RunConfig.dims,
         trials=args.trials,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         out=args.out,
         format=args.format,
     )
     default_tags, run = _SUITES[args.suite]
-    if default_tags is None:
-        quantifiers = [None]
-    else:
+    quantifiers = None
+    if default_tags is not None:
         quantifiers = [qdiv.quantifier(tag, args.mu) for tag in args.q or default_tags]
     # The trial count is passed only when given, so each suite's default
     # stays in the harness.
     kw = {"seed": cfg.seed} if cfg.trials is None else {"seed": cfg.seed, "trials": cfg.trials}
     records: list[dict] = []
     exit_code = 0
-    for q in quantifiers:
-        for line, passed, record in run(q, cfg, kw):
-            print(line)
-            if not passed:
-                exit_code = 1
-            records.append(record)
+    for line, passed, record in run(quantifiers, cfg, kw):
+        print(line)
+        if not passed:
+            exit_code = 1
+        records.append(record)
     if cfg.out:
         _write_report_file(cfg, records)
     return exit_code
@@ -271,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dimension (default 2)",
     )
     p_suite.add_argument("--trials", type=_trial_count, default=None)
-    p_suite.add_argument("--seed", type=int, default=None)
+    p_suite.add_argument("--seed", type=_seed, default=None)
     p_suite.add_argument("--out", default=None)
     p_suite.add_argument("--format", choices=("json", "csv"), default="json")
     p_suite.set_defaults(func=cmd_suite)
@@ -298,8 +317,10 @@ def _check_search_args(parser: argparse.ArgumentParser, args: argparse.Namespace
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "suite" and args.suite == "optimal-pair":
-        _check_search_args(parser, args)
+    if args.command == "suite":
+        if args.suite == "optimal-pair":
+            _check_search_args(parser, args)
+        args.seed = _resolve_seed(parser, args.seed)
     try:
         return args.func(args)
     except DivergelabError as exc:

@@ -4,7 +4,10 @@ purity bounds, joint convexity, and the dilation-pipeline equivalence.
 
 Every suite is a pure function of its seed: per-trial streams derive from
 (seed, trial index), so reports are bit-identical across reruns and trial
-order. Margins are signed with negative meaning violation; a trial counts
+order. A suite that takes a quantifier takes a sequence of them too: each
+trial is drawn once, its channels built and applied once, and every
+quantifier is evaluated on it, with the same reports as one call per
+quantifier. Margins are signed with negative meaning violation; a trial counts
 as a violation when its margin falls below -tolerance.
 """
 from __future__ import annotations
@@ -13,7 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -124,6 +127,65 @@ def _finish(
     )
 
 
+class _Tally:
+    """Margins and per-trial details of one quantifier over a suite's trials."""
+
+    def __init__(self):
+        self.margins: list[float] = []
+        self.details: list[dict] = []
+
+    def add(self, margin: float, detail: dict) -> None:
+        self.margins.append(margin)
+        self.details.append(detail)
+
+    def finish(
+        self,
+        suite: str,
+        q: QuantifierId,
+        seed: int,
+        expectation: str = ZERO_VIOLATIONS,
+        extra: Optional[dict] = None,
+    ) -> PropertyReport:
+        return _finish(suite, q.label, self.margins, self.details, seed, TOL_MARGIN, expectation, extra)
+
+
+# A suite that takes a quantifier takes one, or a sequence of them.
+Quantifiers = Union[QuantifierId, Sequence[QuantifierId]]
+
+
+class SuiteReports(tuple):
+    """What a suite returns for a sequence of quantifiers: one entry per
+    position in the sequence (a repeated quantifier gets its own entry)."""
+
+    def all_reports(self) -> list[PropertyReport]:
+        """Every report, by quantifier and then by leg."""
+        return [
+            r
+            for entry in self
+            for r in (entry.all_reports() if isinstance(entry, InvarianceReports) else [entry])
+        ]
+
+
+def _quantifier_list(q: Quantifiers) -> list[QuantifierId]:
+    qs = [q] if isinstance(q, QuantifierId) else list(q)
+    if not qs:
+        raise ValueError("a suite needs at least one quantifier")
+    return qs
+
+
+def _result(q: Quantifiers, entries: list):
+    """One quantifier gets its own entry back; a sequence gets them all."""
+    return entries[0] if isinstance(q, QuantifierId) else SuiteReports(entries)
+
+
+def _image(ch, pair: StatePair) -> StatePair:
+    return StatePair(apply(ch, pair.first), apply(ch, pair.second))
+
+
+def _value(q: QuantifierId, pair: StatePair) -> float:
+    return qdiv.evaluate(q, pair.first, pair.second).value
+
+
 def _random_pair(dim: int, rng: np.random.Generator) -> StatePair:
     return StatePair(
         _sample_state_rng(dim, "hs_mixed", rng), _sample_state_rng(dim, "hs_mixed", rng)
@@ -156,12 +218,12 @@ def _trial_channel(dim: int, rng: np.random.Generator) -> tuple[str, KrausChanne
 
 
 def dpi_suite(
-    q: QuantifierId,
+    q: Quantifiers,
     trials: int = 500,
     dim_range: tuple[int, int] = (2, 6),
     seed: int = 0,
     channel_kind: str = "mixed",
-) -> PropertyReport:
+) -> Union[PropertyReport, SuiteReports]:
     """Contraction margins S(rho, sigma) - S(channel rho, channel sigma).
 
     The contractive set must come out with zero violations at 1e-9. For
@@ -170,11 +232,10 @@ def dpi_suite(
     amplification ratio is tracked against its exact cap (sqrt of the traced
     dimension for hs_dist, the traced dimension itself for d_inf).
     """
-    may_violate = not q.spec.contractive
-    margins: list[float] = []
-    details: list[dict] = []
-    max_ratio = 0.0
-    max_ratio_excess = -math.inf
+    qs = _quantifier_list(q)
+    tallies = [_Tally() for _ in qs]
+    max_ratio = [0.0] * len(qs)
+    max_ratio_excess = [-math.inf] * len(qs)
     for t in range(trials):
         rng = derive_rng(seed, t)
         if channel_kind == "partial_trace":
@@ -182,47 +243,45 @@ def dpi_suite(
             d_e = int(rng.integers(2, 5))
             dim = d_s * d_e
             label, ch = "partial_trace", channels.partial_trace_channel(d_s, d_e)
-            ratio_cap = q.spec.amplification_cap(d_e)
         else:
             dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
             label, ch = _trial_channel(dim, rng)
-            ratio_cap = None
         pair = _random_pair(dim, rng)
-        before = qdiv.evaluate(q, pair.first, pair.second).value
-        after = qdiv.evaluate(q, apply(ch, pair.first), apply(ch, pair.second)).value
-        margin = before - after
-        margins.append(margin)
-        if may_violate and before > 1e-12:
-            ratio = after / before
-            max_ratio = max(max_ratio, ratio)
-            if ratio_cap is not None:
-                max_ratio_excess = max(max_ratio_excess, ratio - ratio_cap)
-        details.append(
-            {
-                "trial": t,
-                "digest": _digest(pair.first.matrix, pair.second.matrix),
-                "channel": label,
-                "dim": dim,
-                "before": before,
-                "after": after,
-                "margin": margin,
-            }
-        )
-    extra = {"channel_kind": channel_kind}
-    if may_violate:
-        extra["max_ratio"] = max_ratio
-        if channel_kind == "partial_trace":
-            extra["max_ratio_excess"] = max_ratio_excess
-    return _finish(
-        "dpi",
-        q.label,
-        margins,
-        details,
-        seed,
-        TOL_MARGIN,
-        MAY_VIOLATE if may_violate else ZERO_VIOLATIONS,
-        extra,
-    )
+        image = _image(ch, pair)
+        digest = _digest(pair.first.matrix, pair.second.matrix)
+        for i, (qi, tally) in enumerate(zip(qs, tallies)):
+            before = _value(qi, pair)
+            after = _value(qi, image)
+            if not qi.spec.contractive and before > 1e-12:
+                ratio = after / before
+                max_ratio[i] = max(max_ratio[i], ratio)
+                if channel_kind == "partial_trace":
+                    excess = ratio - qi.spec.amplification_cap(d_e)
+                    max_ratio_excess[i] = max(max_ratio_excess[i], excess)
+            margin = before - after
+            tally.add(
+                margin,
+                {
+                    "trial": t,
+                    "digest": digest,
+                    "channel": label,
+                    "dim": dim,
+                    "before": before,
+                    "after": after,
+                    "margin": margin,
+                },
+            )
+    reports = []
+    for i, (qi, tally) in enumerate(zip(qs, tallies)):
+        may_violate = not qi.spec.contractive
+        extra = {"channel_kind": channel_kind}
+        if may_violate:
+            extra["max_ratio"] = max_ratio[i]
+            if channel_kind == "partial_trace":
+                extra["max_ratio_excess"] = max_ratio_excess[i]
+        expectation = MAY_VIOLATE if may_violate else ZERO_VIOLATIONS
+        reports.append(tally.finish("dpi", qi, seed, expectation, extra))
+    return _result(q, reports)
 
 
 class InvarianceReports(NamedTuple):
@@ -234,81 +293,94 @@ class InvarianceReports(NamedTuple):
         return [r for r in self if r is not None]
 
 
-def invariance_suite(q: QuantifierId, trials: int = 100, seed: int = 0) -> InvarianceReports:
+def invariance_suite(
+    q: Quantifiers, trials: int = 100, seed: int = 0
+) -> Union[InvarianceReports, SuiteReports]:
     """Unitary invariance for every quantifier; assignment behavior (exact
     invariance for the contractive set, the exact scaling factor for hs_dist
     and d_inf); transposition invariance where it is expected to hold."""
-    unitary_margins, unitary_details = [], []
-    assign_margins, assign_details = [], []
-    transpose_margins, transpose_details = [], []
-    run_transpose = q.spec.transpose_invariant
+    qs = _quantifier_list(q)
+    legs = [
+        (_Tally(), _Tally(), _Tally() if qi.spec.transpose_invariant else None) for qi in qs
+    ]
+    run_transpose = any(qi.spec.transpose_invariant for qi in qs)
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 7))
         pair = _random_pair(dim, rng)
-        before = qdiv.evaluate(q, pair.first, pair.second).value
-
-        u = haar_unitary(dim, rng)
-        ch_u = channels.unitary_channel(u)
-        after_u = qdiv.evaluate(q, apply(ch_u, pair.first), apply(ch_u, pair.second)).value
-        unitary_margins.append(-abs(after_u - before))
-        unitary_details.append({"trial": t, "dim": dim, "before": before, "after": after_u})
-
+        rotated = _image(channels.unitary_channel(haar_unitary(dim, rng)), pair)
         env = int(rng.integers(2, 4))
         tau = _sample_state_rng(env, "hs_mixed", rng)
-        ch_a = channels.assignment_channel(tau, dim)
-        after_a = qdiv.evaluate(q, apply(ch_a, pair.first), apply(ch_a, pair.second)).value
-        factor = q.spec.assignment_factor(tau)
-        assign_margins.append(-abs(after_a - factor * before))
-        assign_details.append(
-            {"trial": t, "dim": dim, "factor": factor, "before": before, "after": after_a}
+        assigned = _image(channels.assignment_channel(tau, dim), pair)
+        transposed = _image(channels.transpose_map(dim), pair) if run_transpose else None
+        for qi, (unitary, assignment, transpose) in zip(qs, legs):
+            before = _value(qi, pair)
+            after_u = _value(qi, rotated)
+            unitary.add(
+                -abs(after_u - before), {"trial": t, "dim": dim, "before": before, "after": after_u}
+            )
+            factor = qi.spec.assignment_factor(tau)
+            after_a = _value(qi, assigned)
+            assignment.add(
+                -abs(after_a - factor * before),
+                {"trial": t, "dim": dim, "factor": factor, "before": before, "after": after_a},
+            )
+            if transpose is not None:
+                after_t = _value(qi, transposed)
+                transpose.add(
+                    -abs(after_t - before),
+                    {"trial": t, "dim": dim, "before": before, "after": after_t},
+                )
+    reports = [
+        InvarianceReports(
+            unitary.finish("invariance_unitary", qi, seed),
+            assignment.finish("invariance_assignment", qi, seed),
+            transpose.finish("invariance_transpose", qi, seed) if transpose is not None else None,
         )
-
-        if run_transpose:
-            ch_t = channels.transpose_map(dim)
-            after_t = qdiv.evaluate(q, apply(ch_t, pair.first), apply(ch_t, pair.second)).value
-            transpose_margins.append(-abs(after_t - before))
-            transpose_details.append({"trial": t, "dim": dim, "before": before, "after": after_t})
-
-    return InvarianceReports(
-        _finish("invariance_unitary", q.label, unitary_margins, unitary_details, seed, TOL_MARGIN),
-        _finish("invariance_assignment", q.label, assign_margins, assign_details, seed, TOL_MARGIN),
-        _finish("invariance_transpose", q.label, transpose_margins, transpose_details, seed, TOL_MARGIN)
-        if run_transpose
-        else None,
-    )
+        for qi, (unitary, assignment, transpose) in zip(qs, legs)
+    ]
+    return _result(q, reports)
 
 
 def orthogonal_plateau_check(
-    q: QuantifierId, trials: int = 100, dim_range: tuple[int, int] = (2, 6), seed: int = 0
-) -> PropertyReport:
+    q: Quantifiers, trials: int = 100, dim_range: tuple[int, int] = (2, 6), seed: int = 0
+) -> Union[PropertyReport, SuiteReports]:
     """Evaluate on random orthogonal pairs of assorted ranks: the bounded
     contractive quantifiers must sit at one common maximum value."""
-    target = q.spec.plateau
-    if target is None:
-        raise ValueError(f"{q.tag} has no common plateau value")
-    margins, details, values = [], [], []
+    qs = _quantifier_list(q)
+    for qi in qs:
+        if qi.spec.plateau is None:
+            raise ValueError(f"{qi.tag} has no common plateau value")
+    tallies = [_Tally() for _ in qs]
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
         rank1 = int(rng.integers(1, dim))
         rank2 = int(rng.integers(1, dim - rank1 + 1))
         pair = random_orthogonal_pair(dim, rank1, rank2, seed=int(rng.integers(0, 2**31)))
-        value = qdiv.evaluate(q, pair.first, pair.second).value
-        values.append(value)
-        margins.append(-abs(value - target))
-        details.append(
-            {"trial": t, "dim": dim, "ranks": [rank1, rank2], "value": value}
-        )
-    extra = {"target": target, "sample_std": float(np.std(np.asarray(values)))}
-    return _finish("plateau", q.label, margins, details, seed, TOL_MARGIN, extra=extra)
+        for qi, tally in zip(qs, tallies):
+            value = _value(qi, pair)
+            tally.add(
+                -abs(value - qi.spec.plateau),
+                {"trial": t, "dim": dim, "ranks": [rank1, rank2], "value": value},
+            )
+    reports = []
+    for qi, tally in zip(qs, tallies):
+        values = np.asarray([d["value"] for d in tally.details])
+        extra = {"target": qi.spec.plateau, "sample_std": float(np.std(values))}
+        reports.append(tally.finish("plateau", qi, seed, extra=extra))
+    return _result(q, reports)
 
 
-def joint_convexity_suite(q: QuantifierId, trials: int = 300, seed: int = 0) -> PropertyReport:
+def joint_convexity_suite(
+    q: Quantifiers, trials: int = 300, seed: int = 0
+) -> Union[PropertyReport, SuiteReports]:
     """S(sum mu_k rho_k, sum mu_k sigma_k) <= sum mu_k S(rho_k, sigma_k)."""
-    if not q.spec.jointly_convex:
-        raise ValueError(f"{q.tag} is not in the jointly convex set")
-    margins, details = [], []
+    qs = _quantifier_list(q)
+    for qi in qs:
+        if not qi.spec.jointly_convex:
+            raise ValueError(f"{qi.tag} is not in the jointly convex set")
+    tallies = [_Tally() for _ in qs]
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 5))
@@ -316,15 +388,15 @@ def joint_convexity_suite(q: QuantifierId, trials: int = 300, seed: int = 0) -> 
         weights = rng.random(count) + 1e-3
         weights /= weights.sum()
         pairs = [_random_pair(dim, rng) for _ in range(count)]
-        mixed_first = validate_density(sum(w * p.first.matrix for w, p in zip(weights, pairs)))
-        mixed_second = validate_density(sum(w * p.second.matrix for w, p in zip(weights, pairs)))
-        lhs = qdiv.evaluate(q, mixed_first, mixed_second).value
-        rhs = float(
-            sum(w * qdiv.evaluate(q, p.first, p.second).value for w, p in zip(weights, pairs))
+        mixed = StatePair(
+            validate_density(sum(w * p.first.matrix for w, p in zip(weights, pairs))),
+            validate_density(sum(w * p.second.matrix for w, p in zip(weights, pairs))),
         )
-        margins.append(rhs - lhs)
-        details.append({"trial": t, "dim": dim, "terms": count, "lhs": lhs, "rhs": rhs})
-    return _finish("joint_convexity", q.label, margins, details, seed, TOL_MARGIN)
+        for qi, tally in zip(qs, tallies):
+            lhs = _value(qi, mixed)
+            rhs = float(sum(w * _value(qi, p) for w, p in zip(weights, pairs)))
+            tally.add(rhs - lhs, {"trial": t, "dim": dim, "terms": count, "lhs": lhs, "rhs": rhs})
+    return _result(q, [tally.finish("joint_convexity", qi, seed) for qi, tally in zip(qs, tallies)])
 
 
 def kadison_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
@@ -400,48 +472,51 @@ def purity_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
     return report
 
 
-def stinespring_dpi_equivalence(q: QuantifierId, trials: int = 50, seed: int = 0) -> PropertyReport:
+def stinespring_dpi_equivalence(
+    q: Quantifiers, trials: int = 50, seed: int = 0
+) -> Union[PropertyReport, SuiteReports]:
     """Factorize random channels into assignment, unitary and partial trace;
     the staged evaluation must match the direct one and, for the contractive
     set, decrease monotonically along the pipeline."""
-    if not q.spec.contractive:
-        raise ValueError(f"{q.tag} is not contractive; pipeline monotonicity not expected")
-    margins, details = [], []
-    max_gap = 0.0
+    qs = _quantifier_list(q)
+    for qi in qs:
+        if not qi.spec.contractive:
+            raise ValueError(f"{qi.tag} is not contractive; pipeline monotonicity not expected")
+    tallies = [_Tally() for _ in qs]
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 5))
         env = int(rng.integers(2, 5))
         ch = channels._random_cptp_rng(dim, env, rng)
         pair = _random_pair(dim, rng)
-        direct = qdiv.evaluate(q, apply(ch, pair.first), apply(ch, pair.second)).value
-        form = channels.stinespring_factorize(ch)
-        assign, conj, ptrace = channels.stinespring_pipeline(form, dim)
-        stages = [qdiv.evaluate(q, pair.first, pair.second).value]
-        a, b = pair.first, pair.second
-        for stage in (assign, conj, ptrace):
-            a, b = apply(stage, a), apply(stage, b)
-            stages.append(qdiv.evaluate(q, a, b).value)
-        gap = abs(stages[-1] - direct)
-        max_gap = max(max_gap, gap)
-        decrements = [stages[i] - stages[i + 1] for i in range(3)]
-        # -gap makes a pipeline mismatch beyond the tolerance a violation on
-        # the same scale as a monotonicity failure.
-        margin = min(min(decrements), -gap)
-        margins.append(margin)
-        details.append(
-            {
-                "trial": t,
-                "dim": dim,
-                "env": env,
-                "stages": stages,
-                "direct": direct,
-                "gap": gap,
-            }
-        )
-    return _finish(
-        "stinespring", q.label, margins, details, seed, TOL_MARGIN, extra={"max_gap": max_gap}
-    )
+        direct_pair = _image(ch, pair)
+        staged = [pair]
+        for stage in channels.stinespring_pipeline(channels.stinespring_factorize(ch), dim):
+            staged.append(_image(stage, staged[-1]))
+        for qi, tally in zip(qs, tallies):
+            direct = _value(qi, direct_pair)
+            stages = [_value(qi, p) for p in staged]
+            gap = abs(stages[-1] - direct)
+            decrements = [stages[i] - stages[i + 1] for i in range(3)]
+            # -gap makes a pipeline mismatch beyond the tolerance a violation on
+            # the same scale as a monotonicity failure.
+            tally.add(
+                min(min(decrements), -gap),
+                {
+                    "trial": t,
+                    "dim": dim,
+                    "env": env,
+                    "stages": stages,
+                    "direct": direct,
+                    "gap": gap,
+                },
+            )
+    reports = []
+    for qi, tally in zip(qs, tallies):
+        # The same left-to-right max as a running maximum from 0.
+        max_gap = max([0.0] + [d["gap"] for d in tally.details])
+        reports.append(tally.finish("stinespring", qi, seed, extra={"max_gap": max_gap}))
+    return _result(q, reports)
 
 
 class CounterexampleRecord(NamedTuple):

@@ -65,11 +65,21 @@ def _mixture_divergence(
     rho: DensityMatrix, sigma: DensityMatrix, mu: float, a: float, b: float
 ) -> QuantifierResult:
     """a D(rho || m) + b D(sigma || m) against the mixture
-    m = mu rho + (1 - mu) sigma, with the weights of :mod:`divergelab.cdiv`."""
+    m = mu rho + (1 - mu) sigma, with the weights of :mod:`divergelab.cdiv`.
+
+    The two relative entropies depend on the pair and mu only, so rho keeps
+    them for its last partner: qsd and holevo_skew at one mu share them.
+    The entry holds the partner itself, so an identity match cannot come
+    from a recycled id."""
     _check_dims(rho, sigma)
-    m = validate_density(mu * rho.matrix + (1.0 - mu) * sigma.matrix)
-    first = relative_entropy(rho, m).value
-    second = relative_entropy(sigma, m).value
+    last = rho.memo.get("mixture")
+    if last is not None and last[0] is sigma and last[1] == mu:
+        first, second = last[2], last[3]
+    else:
+        m = validate_density(mu * rho.matrix + (1.0 - mu) * sigma.matrix)
+        first = relative_entropy(rho, m).value
+        second = relative_entropy(sigma, m).value
+        rho.memo["mixture"] = (sigma, mu, first, second)
     return QuantifierResult.of(a * first + b * second)
 
 
@@ -119,9 +129,14 @@ def quantum_js(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
 def _psd_sqrt(rho: DensityMatrix) -> np.ndarray:
     # sqrt amplifies eigenvalue roundoff (1e-16 -> 1e-8); zero the
     # sub-support eigenvalues so orthogonal supports stay orthogonal.
-    lam = np.where(rho.eigenvalues > matcore.SUPPORT_TOL, rho.eigenvalues, 0.0)
-    v = rho.eigenvectors
-    return (v * np.sqrt(lam)) @ dagger(v)
+    # Kept on the state, so bures and hellinger compute it once.
+    root = rho.memo.get("sqrt")
+    if root is None:
+        lam = np.where(rho.eigenvalues > matcore.SUPPORT_TOL, rho.eigenvalues, 0.0)
+        v = rho.eigenvectors
+        root = rho.memo["sqrt"] = (v * np.sqrt(lam)) @ dagger(v)
+        root.flags.writeable = False
+    return root
 
 
 def _sqrt_clipped(x: float) -> float:

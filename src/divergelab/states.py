@@ -8,7 +8,7 @@ per call through explicit seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -34,6 +34,9 @@ class DensityMatrix:
     matrix: np.ndarray
     spectral: SpectralDecomposition
     dim: int
+    # Values derived from this state that several quantifiers share; qdiv
+    # fills it under a fixed set of keys, so it never grows with use.
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +217,73 @@ class TestSuiteInputChecks:
             main(["suite", "dpi", "--q", "rel_entropy", "--log-base", "bits", "--seed", "1"])
         assert exc.value.code == 2
         assert "--log-base" in capsys.readouterr().err
+
+
+class TestSeedInput:
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+    def test_bad_seed_flag_is_usage_error(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "kadison", "--trials", "2", "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", ""])
+    def test_bad_seed_variable_is_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("DIVERGELAB_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "kadison", "--trials", "2"])
+        assert exc.value.code == 2
+        assert "environment variable DIVERGELAB_SEED" in capsys.readouterr().err
+
+    def test_seed_flag_overrides_a_bad_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("DIVERGELAB_SEED", "abc")
+        code, out, _ = run(["suite", "kadison", "--trials", "2", "--seed", "0"], capsys)
+        assert code == 0
+        assert "suite=kadison" in out
+
+
+class TestQuantifierLists:
+    def test_repeated_q_gives_two_records(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["suite", "dpi", "--q", "bures", "--q", "bures", "--trials", "4", "--seed", "3"]
+        code, stdout, _ = run(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        first, second = json.loads(out.read_text())["results"]
+        assert first == second
+
+    def test_disqualified_tag_fails_before_any_report(self, capsys):
+        argv = ["suite", "plateau", "--q", "trace_dist", "--q", "hs_dist", "--trials", "4"]
+        code, stdout, err = run(argv + ["--seed", "3"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "hs_dist has no common plateau value" in err
+
+
+def test_reports_agree_across_hash_seeds(tmp_path):
+    """Two processes under different string-hash salts write the same report."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["suite", "invariance", "--q", "trace_dist", "--q", "qsd", "--q", "hs_dist"]
+    argv += ["--q", "qsd", "--trials", "6", "--seed", "17", "--mu", "0.4"]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = tmp_path / f"r{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "divergelab.cli", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        report.pop("timestamp")
+        outputs.append((proc.stdout, report))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]["results"]) == 3 + 2 + 3 + 3
 
 
 class TestCsvReport:

@@ -7,6 +7,8 @@ import pytest
 from divergelab import channels, harness, qdiv
 from divergelab.harness import (
     CounterexampleRecord,
+    InvarianceReports,
+    SuiteReports,
     dinf_counterexample,
     dpi_suite,
     hs_counterexample,
@@ -275,6 +277,92 @@ class TestOptimalPairSearch:
             if res.value >= 1 - 1e-3 and res.orthogonality_overlap <= 1e-3:
                 hits += 1
         assert hits >= 9
+
+
+def _tags(*tags):
+    return [quantifier(tag, 0.3) for tag in tags]
+
+
+# (suite, quantifier sequence with a repeated tag, keyword arguments)
+TRIAL_MAJOR_CASES = [
+    (dpi_suite, _tags(*qdiv.ALL_TAGS, "qsd"), {"trials": 10, "seed": 61}),
+    (
+        dpi_suite,
+        _tags("hs_dist", "d_inf", "hs_dist"),
+        {"trials": 30, "seed": 62, "channel_kind": "partial_trace"},
+    ),
+    (invariance_suite, _tags(*qdiv.ALL_TAGS, "hs_dist"), {"trials": 8, "seed": 63}),
+    (
+        orthogonal_plateau_check,
+        _tags(*qdiv.PLATEAU_VALUE, "bures"),
+        {"trials": 10, "seed": 64, "dim_range": (2, 5)},
+    ),
+    (joint_convexity_suite, _tags(*qdiv.JOINTLY_CONVEX, "d_inf"), {"trials": 6, "seed": 65}),
+    (stinespring_dpi_equivalence, _tags(*qdiv.CONTRACTIVE, "qjs"), {"trials": 5, "seed": 66}),
+]
+TRIAL_MAJOR_IDS = [
+    "dpi",
+    "dpi-partial-trace",
+    "invariance",
+    "plateau",
+    "joint-convexity",
+    "stinespring",
+]
+
+
+def _count_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(
+        harness, "derive_rng", lambda *key, derive=harness.derive_rng: draws.append(key) or derive(*key)
+    )
+    return draws
+
+
+class TestTrialMajor:
+    """A sequence of quantifiers shares each trial's draw and gives the same
+    reports as one call per quantifier."""
+
+    @pytest.mark.parametrize("suite, qs, kw", TRIAL_MAJOR_CASES, ids=TRIAL_MAJOR_IDS)
+    def test_sequence_call_equals_single_calls(self, suite, qs, kw):
+        single = []
+        for q in qs:
+            result = suite(q, **kw)
+            single += result.all_reports() if isinstance(result, InvarianceReports) else [result]
+        combined = suite(qs, **kw)
+        assert isinstance(combined, SuiteReports)
+        assert len(combined) == len(qs)
+        assert [r.to_dict() for r in combined.all_reports()] == [r.to_dict() for r in single]
+
+    @pytest.mark.parametrize("suite, qs, kw", TRIAL_MAJOR_CASES, ids=TRIAL_MAJOR_IDS)
+    def test_each_trial_is_drawn_once(self, suite, qs, kw, monkeypatch):
+        draws = _count_draws(monkeypatch)
+        suite(qs, **kw)
+        assert draws == [(kw["seed"], t) for t in range(kw["trials"])]
+
+    @pytest.mark.parametrize(
+        "suite, tags",
+        [
+            (orthogonal_plateau_check, ("trace_dist", "hs_dist")),
+            (joint_convexity_suite, ("qsd", "bures")),
+            (stinespring_dpi_equivalence, ("trace_dist", "d_inf")),
+        ],
+        ids=["plateau", "joint-convexity", "stinespring"],
+    )
+    def test_disqualified_tag_raises_before_any_draw(self, suite, tags, monkeypatch):
+        draws = _count_draws(monkeypatch)
+        with pytest.raises(ValueError, match=tags[-1]):
+            suite(_tags(*tags), trials=5, seed=0)
+        assert draws == []
+
+    def test_single_quantifier_returns_its_own_report(self):
+        q = quantifier("trace_dist")
+        assert isinstance(dpi_suite(q, trials=2, seed=1), harness.PropertyReport)
+        assert isinstance(invariance_suite(q, trials=2, seed=1), InvarianceReports)
+        assert isinstance(dpi_suite([q], trials=2, seed=1), SuiteReports)
+
+    def test_empty_sequence_is_refused(self):
+        with pytest.raises(ValueError):
+            dpi_suite([], trials=2, seed=1)
 
 
 def test_channel_mix_covers_all_classes():

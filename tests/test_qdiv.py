@@ -237,6 +237,60 @@ class TestBuresHellinger:
         assert 0.0 <= bures_distance(rho, sigma).value <= 1.0 + 1e-12
 
 
+def _fresh(rho):
+    # The same state with nothing memoized.
+    return states.DensityMatrix(rho.matrix, rho.spectral, rho.dim)
+
+
+class TestSharedStateValues:
+    def test_square_root_is_computed_once_per_state(self):
+        rho, sigma = _pair(5, 41)
+        bures = bures_distance(rho, sigma).value
+        roots = rho.memo["sqrt"], sigma.memo["sqrt"]
+        hellinger = hellinger_distance(rho, sigma).value
+        assert rho.memo["sqrt"] is roots[0] and sigma.memo["sqrt"] is roots[1]
+        assert bures == bures_distance(_fresh(rho), _fresh(sigma)).value
+        assert hellinger == hellinger_distance(_fresh(rho), _fresh(sigma)).value
+
+    def test_qsd_and_holevo_skew_share_one_mixture(self, monkeypatch):
+        rho, sigma = _pair(4, 42)
+        built = []
+        monkeypatch.setattr(
+            qdiv,
+            "validate_density",
+            lambda m, validate=qdiv.validate_density: built.append(m) or validate(m),
+        )
+        qsd = quantum_skew_divergence(rho, sigma, 0.3).value
+        holevo = holevo_skew_divergence(rho, sigma, 0.3).value
+        assert len(built) == 1
+        quantum_js(rho, sigma)  # another mu, another mixture
+        assert len(built) == 2
+        monkeypatch.undo()
+        assert qsd == quantum_skew_divergence(_fresh(rho), _fresh(sigma), 0.3).value
+        assert holevo == holevo_skew_divergence(_fresh(rho), _fresh(sigma), 0.3).value
+
+    def test_mixture_memo_keeps_only_the_last_partner(self):
+        rho = sample_state(3, "hs_mixed", seed=43)
+        partners = [sample_state(3, "hs_mixed", seed=100 + k) for k in range(30)]
+        for sigma in partners:
+            value = holevo_skew_divergence(rho, sigma, 0.3).value
+            assert value == holevo_skew_divergence(_fresh(rho), sigma, 0.3).value
+            assert set(rho.memo) == {"mixture"}
+            assert rho.memo["mixture"][0] is sigma
+
+    def test_mixture_memo_is_checked_by_identity(self):
+        rho, sigma = _pair(3, 44)
+        twin = _fresh(sigma)
+        other = sample_state(3, "hs_mixed", seed=45)
+        assert holevo_skew_divergence(rho, sigma, 0.3).value == holevo_skew_divergence(
+            rho, twin, 0.3
+        ).value
+        assert rho.memo["mixture"][0] is twin
+        assert holevo_skew_divergence(rho, other, 0.3).value == holevo_skew_divergence(
+            _fresh(rho), other, 0.3
+        ).value
+
+
 class TestHSDistance:
     def test_fixture_value(self):
         assert hs_distance(load_fixture("w1"), load_fixture("w2")).value == pytest.approx(
