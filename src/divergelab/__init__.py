@@ -11,8 +11,6 @@ from .channels import (
     check_cptp,
     compose,
     haar_twirl_mc,
-    identity_channel,
-    kraus_channel,
     orthogonal_to_target_channel,
     partial_trace_channel,
     random_cptp,
@@ -49,7 +47,6 @@ from .matcore import (
     partial_trace,
     schatten_norm,
     support_projector,
-    tensor,
 )
 from .qdiv import (
     QuantifierId,
@@ -77,7 +74,6 @@ from .states import (
     commute,
     maximally_mixed,
     pure_state,
-    purify,
     purity,
     random_orthogonal_pair,
     sample_state,

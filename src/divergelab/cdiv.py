@@ -55,10 +55,6 @@ def distribution(values) -> Distribution:
     return Distribution(p)
 
 
-def uniform(size: int) -> Distribution:
-    return Distribution(np.full(size, 1.0 / size))
-
-
 def sample_distribution(size: int, seed: int = 0) -> Distribution:
     """Flat-Dirichlet random distribution, deterministic per seed."""
     rng = derive_rng(seed)

@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     DivergelabError,
     FactorizationFailed,
-    InvalidChannel,
     InvalidState,
     NotOrthonormal,
     NotUnitary,
@@ -30,8 +29,6 @@ from .matcore import dagger
 from .sampling import derive_rng, haar_unitary, haar_unitary_batch
 from .states import DensityMatrix, pure_state, validate_density
 
-TP_TOL = 1e-10
-CP_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
 
@@ -40,9 +37,8 @@ class KrausChannel:
     """Map rho -> sum_i K_i rho K_i^dag with dim_out x dim_in Kraus blocks.
 
     Instances built by the module constructors satisfy trace preservation
-    and complete positivity by construction; ``kraus_channel`` validates
-    arbitrary operator families, and ``check_cptp`` reports residuals
-    without throwing.
+    and complete positivity by construction; ``check_cptp`` reports
+    residuals without throwing.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -66,17 +62,6 @@ class TransposeMap:
 
 
 PositiveMap = Union[KrausChannel, TransposeMap]
-
-
-def _as_channel(ops: Sequence, dim_in: int = None, dim_out: int = None) -> KrausChannel:
-    mats = tuple(matcore.as_matrix(k) for k in ops)
-    if not mats:
-        raise InvalidChannel("empty Kraus family")
-    rows, cols = mats[0].shape
-    for k in mats:
-        if k.shape != (rows, cols):
-            raise DimensionMismatch("Kraus operators must share one shape")
-    return KrausChannel(mats, dim_in or cols, dim_out or rows)
 
 
 def tp_residual(ch: KrausChannel) -> float:
@@ -114,17 +99,6 @@ def check_cptp(ch: PositiveMap) -> CPTPDiagnostics:
     return CPTPDiagnostics(residual, choi_min)
 
 
-def kraus_channel(ops: Sequence, dim_in: int = None, dim_out: int = None) -> KrausChannel:
-    """Validate an arbitrary Kraus family as a CPTP map."""
-    ch = _as_channel(ops, dim_in, dim_out)
-    diag = check_cptp(ch)
-    if diag.tp_residual > TP_TOL:
-        raise InvalidChannel(f"trace-preservation residual {diag.tp_residual:.2e} > 1e-10")
-    if diag.choi_min_eigenvalue < -CP_TOL:
-        raise InvalidChannel(f"Choi eigenvalue {diag.choi_min_eigenvalue:.2e} < -1e-10")
-    return ch
-
-
 def apply_to_matrix(ch: PositiveMap, m: np.ndarray) -> np.ndarray:
     """Raw action on an arbitrary operator (no state validation)."""
     if isinstance(ch, TransposeMap):
@@ -144,10 +118,6 @@ def apply(ch: PositiveMap, rho: DensityMatrix) -> DensityMatrix:
         return validate_density(out)
     except DivergelabError as exc:
         raise OutputInvalid(f"channel output failed validation: {exc}") from exc
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=np.complex128),), dim, dim)
 
 
 def unitary_channel(u) -> KrausChannel:

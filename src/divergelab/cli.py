@@ -26,6 +26,7 @@ from .qdiv import QuantifierId
 from .states import DensityMatrix, load_fixture, state_from_dict, state_from_spec
 
 SEED_ENV_VAR = "DIVERGELAB_SEED"
+CSV_HEADER = "suite,quantifier,trials,violations,worst_margin,seed"
 
 @dataclass
 class RunConfig:
@@ -216,7 +217,7 @@ def _csv_number(x) -> str:
 def _write_report_file(cfg: RunConfig, records: list[dict]) -> None:
     path = Path(cfg.out)
     if cfg.format == "csv":
-        lines = [harness.CSV_HEADER]
+        lines = [CSV_HEADER]
         for rec in records:
             if "violations" in rec:
                 lines.append(
@@ -302,24 +303,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_search_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """``suite optimal-pair`` runs one search at one dimension; a --dim range
-    or a --trials count is refused rather than dropped."""
+def _check_suite_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Flags a suite would not read are refused rather than dropped: ``kadison``
+    and ``purity-bound`` check hs_dist alone and take no --q, and
+    ``optimal-pair`` runs one search at one dimension, so it takes no --dim
+    range and no --trials count."""
+    if args.q and args.suite in _SUITES and _SUITES[args.suite][0] is None:
+        parser.error(f"argument --q: suite {args.suite} checks hs_dist only and takes no --q")
+    if args.suite != "optimal-pair":
+        return
     if args.dim is not None and args.dim[0] < args.dim[1]:
         parser.error(
             f"argument --dim: suite optimal-pair searches at one dimension, "
             f"got the range {args.dim[0]}-{args.dim[1]}"
         )
     if args.trials is not None:
-        parser.error("argument --trials: suite optimal-pair runs one search and takes no trial count")
+        parser.error(
+            "argument --trials: suite optimal-pair runs one search and takes no trial count"
+        )
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "suite":
-        if args.suite == "optimal-pair":
-            _check_search_args(parser, args)
+        _check_suite_args(parser, args)
         args.seed = _resolve_seed(parser, args.seed)
     try:
         return args.func(args)

@@ -46,7 +46,8 @@ class NotUnitary(DivergelabError):
 
 
 class InvalidState(DivergelabError):
-    """Operator is not a valid density matrix for the requested use."""
+    """Operator is not a valid density matrix for the requested use, or a
+    generator spec does not describe one."""
 
 
 class NotOrthonormal(DivergelabError):
@@ -59,10 +60,6 @@ class FactorizationFailed(DivergelabError):
 
 class NotCommuting(DivergelabError):
     """State pair does not commute within tolerance."""
-
-
-class InvalidChannel(DivergelabError):
-    """Kraus family fails trace preservation or complete positivity."""
 
 
 class OutputInvalid(DivergelabError):

@@ -96,9 +96,6 @@ class PropertyReport:
         )
 
 
-CSV_HEADER = "suite,quantifier,trials,violations,worst_margin,seed"
-
-
 def _finish(
     suite: str,
     q_label: str,
@@ -127,28 +124,6 @@ def _finish(
     )
 
 
-class _Tally:
-    """Margins and per-trial details of one quantifier over a suite's trials."""
-
-    def __init__(self):
-        self.margins: list[float] = []
-        self.details: list[dict] = []
-
-    def add(self, margin: float, detail: dict) -> None:
-        self.margins.append(margin)
-        self.details.append(detail)
-
-    def finish(
-        self,
-        suite: str,
-        q: QuantifierId,
-        seed: int,
-        expectation: str = ZERO_VIOLATIONS,
-        extra: Optional[dict] = None,
-    ) -> PropertyReport:
-        return _finish(suite, q.label, self.margins, self.details, seed, TOL_MARGIN, expectation, extra)
-
-
 # A suite that takes a quantifier takes one, or a sequence of them.
 Quantifiers = Union[QuantifierId, Sequence[QuantifierId]]
 
@@ -166,15 +141,86 @@ class SuiteReports(tuple):
         ]
 
 
-def _quantifier_list(q: Quantifiers) -> list[QuantifierId]:
+class InvarianceReports(NamedTuple):
+    unitary: PropertyReport
+    assignment: PropertyReport
+    transpose: Optional[PropertyReport] = None
+
+    def all_reports(self) -> list[PropertyReport]:
+        return [r for r in self if r is not None]
+
+
+# The suites defined only for part of the quantifiers: which part, and why
+# another quantifier is refused.
+_ADMITS = {
+    "plateau": (lambda spec: spec.plateau is not None, "has no common plateau value"),
+    "joint_convexity": (lambda spec: spec.jointly_convex, "is not in the jointly convex set"),
+    "stinespring": (
+        lambda spec: spec.contractive,
+        "is not contractive; pipeline monotonicity not expected",
+    ),
+}
+
+
+def _quantifier_list(q: Quantifiers, suite: str) -> list[QuantifierId]:
+    """The suite's quantifiers, each checked before the first trial is drawn."""
     qs = [q] if isinstance(q, QuantifierId) else list(q)
     if not qs:
         raise ValueError("a suite needs at least one quantifier")
+    admits, why = _ADMITS.get(suite, (lambda spec: True, ""))
+    for qi in qs:
+        if not admits(qi.spec):
+            raise ValueError(f"{qi.tag} {why}")
     return qs
 
 
-def _result(q: Quantifiers, entries: list):
-    """One quantifier gets its own entry back; a sequence gets them all."""
+def _suite_reports(
+    suite: str, q: Quantifiers, qs: list, rows: list, seed: int, extra=None, traced=()
+) -> Union[PropertyReport, InvarianceReports, SuiteReports]:
+    """Reports from a suite's trial rows, one row per trial. A row holds one
+    (margin, detail) cell per quantifier in ``qs``; for invariance, a list of
+    cells, one per leg (none for transposition where it is not expected).
+    ``extra`` is the suite's own part of every report's extra, ``traced`` the
+    traced-out dim of each dpi trial. One quantifier gets its own entry back;
+    a sequence gets them all."""
+    entries = []
+    for i, qi in enumerate(qs):
+        cells = [row[i] for row in rows]
+        legs = [(suite, cells)]
+        if suite == "invariance":
+            legs = [
+                (f"invariance_{leg}", [c[k] for c in cells])
+                for k, leg in enumerate(InvarianceReports._fields)
+                if leg != "transpose" or qi.spec.transpose_invariant
+            ]
+        reports = []
+        for name, leg in legs:
+            details = [d for _, d in leg]
+            expectation, leg_extra = ZERO_VIOLATIONS, dict(extra or {})
+            if suite == "plateau":
+                values = [d["value"] for d in details]
+                leg_extra = {"target": qi.spec.plateau, "sample_std": float(np.std(values))}
+            elif suite == "stinespring":
+                # The same left-to-right max as a running maximum from 0.
+                leg_extra = {"max_gap": max([0.0] + [d["gap"] for d in details])}
+            elif suite == "dpi" and not qi.spec.contractive:
+                expectation = MAY_VIOLATE
+                # The amplification ratio after / before, where before is not ~0.
+                ratios = [
+                    (d["after"] / d["before"], d_e)
+                    for d, d_e in zip(details, traced)
+                    if d["before"] > 1e-12
+                ]
+                leg_extra["max_ratio"] = max([0.0] + [r for r, _ in ratios])
+                if leg_extra["channel_kind"] == "partial_trace":
+                    leg_extra["max_ratio_excess"] = max(
+                        [-math.inf] + [r - qi.spec.amplification_cap(d_e) for r, d_e in ratios]
+                    )
+            margins = [m for m, _ in leg]
+            reports.append(
+                _finish(name, qi.label, margins, details, seed, TOL_MARGIN, expectation, leg_extra)
+            )
+        entries.append(InvarianceReports(*reports) if suite == "invariance" else reports[0])
     return entries[0] if isinstance(q, QuantifierId) else SuiteReports(entries)
 
 
@@ -190,6 +236,14 @@ def _random_pair(dim: int, rng: np.random.Generator) -> StatePair:
     return StatePair(
         _sample_state_rng(dim, "hs_mixed", rng), _sample_state_rng(dim, "hs_mixed", rng)
     )
+
+
+def _orthogonal_pair(dim: int, rng: np.random.Generator) -> tuple[list[int], StatePair]:
+    """Random ranks and a random orthogonal pair of those ranks."""
+    rank1 = int(rng.integers(1, dim))
+    rank2 = int(rng.integers(1, dim - rank1 + 1))
+    pair = random_orthogonal_pair(dim, rank1, rank2, seed=int(rng.integers(0, 2**31)))
+    return [rank1, rank2], pair
 
 
 def _trial_channel(dim: int, rng: np.random.Generator) -> tuple[str, KrausChannel]:
@@ -217,6 +271,21 @@ def _trial_channel(dim: int, rng: np.random.Generator) -> tuple[str, KrausChanne
     return "measure_prepare", channels.orthogonal_to_target_channel((u[:, 0], u[:, 1]), dst)
 
 
+def _contraction_channel(
+    rng: np.random.Generator, partial_trace: bool, dim_range: tuple[int, int]
+) -> tuple[str, int, Optional[int], KrausChannel]:
+    """Label, input dim, traced-out dim (None unless a partial trace) and
+    channel of one contraction trial: a partial trace over a random
+    factorization, or a ``_trial_channel`` at a dim drawn from dim_range."""
+    if partial_trace:
+        d_s = int(rng.integers(2, 4))
+        d_e = int(rng.integers(2, 5))
+        return "partial_trace", d_s * d_e, d_e, channels.partial_trace_channel(d_s, d_e)
+    dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+    label, ch = _trial_channel(dim, rng)
+    return label, dim, None, ch
+
+
 def dpi_suite(
     q: Quantifiers,
     trials: int = 500,
@@ -232,65 +301,25 @@ def dpi_suite(
     amplification ratio is tracked against its exact cap (sqrt of the traced
     dimension for hs_dist, the traced dimension itself for d_inf).
     """
-    qs = _quantifier_list(q)
-    tallies = [_Tally() for _ in qs]
-    max_ratio = [0.0] * len(qs)
-    max_ratio_excess = [-math.inf] * len(qs)
+    qs = _quantifier_list(q, "dpi")
+    rows, traced = [], []
     for t in range(trials):
         rng = derive_rng(seed, t)
-        if channel_kind == "partial_trace":
-            d_s = int(rng.integers(2, 4))
-            d_e = int(rng.integers(2, 5))
-            dim = d_s * d_e
-            label, ch = "partial_trace", channels.partial_trace_channel(d_s, d_e)
-        else:
-            dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
-            label, ch = _trial_channel(dim, rng)
+        partial_trace = channel_kind == "partial_trace"
+        label, dim, d_e, ch = _contraction_channel(rng, partial_trace, dim_range)
+        traced.append(d_e)
         pair = _random_pair(dim, rng)
         image = _image(ch, pair)
         digest = _digest(pair.first.matrix, pair.second.matrix)
-        for i, (qi, tally) in enumerate(zip(qs, tallies)):
+        row = []
+        for qi in qs:
             before = _value(qi, pair)
             after = _value(qi, image)
-            if not qi.spec.contractive and before > 1e-12:
-                ratio = after / before
-                max_ratio[i] = max(max_ratio[i], ratio)
-                if channel_kind == "partial_trace":
-                    excess = ratio - qi.spec.amplification_cap(d_e)
-                    max_ratio_excess[i] = max(max_ratio_excess[i], excess)
             margin = before - after
-            tally.add(
-                margin,
-                {
-                    "trial": t,
-                    "digest": digest,
-                    "channel": label,
-                    "dim": dim,
-                    "before": before,
-                    "after": after,
-                    "margin": margin,
-                },
-            )
-    reports = []
-    for i, (qi, tally) in enumerate(zip(qs, tallies)):
-        may_violate = not qi.spec.contractive
-        extra = {"channel_kind": channel_kind}
-        if may_violate:
-            extra["max_ratio"] = max_ratio[i]
-            if channel_kind == "partial_trace":
-                extra["max_ratio_excess"] = max_ratio_excess[i]
-        expectation = MAY_VIOLATE if may_violate else ZERO_VIOLATIONS
-        reports.append(tally.finish("dpi", qi, seed, expectation, extra))
-    return _result(q, reports)
-
-
-class InvarianceReports(NamedTuple):
-    unitary: PropertyReport
-    assignment: PropertyReport
-    transpose: Optional[PropertyReport]
-
-    def all_reports(self) -> list[PropertyReport]:
-        return [r for r in self if r is not None]
+            detail = {"trial": t, "digest": digest, "channel": label, "dim": dim}
+            row.append((margin, {**detail, "before": before, "after": after, "margin": margin}))
+        rows.append(row)
+    return _suite_reports("dpi", q, qs, rows, seed, {"channel_kind": channel_kind}, traced)
 
 
 def invariance_suite(
@@ -299,11 +328,9 @@ def invariance_suite(
     """Unitary invariance for every quantifier; assignment behavior (exact
     invariance for the contractive set, the exact scaling factor for hs_dist
     and d_inf); transposition invariance where it is expected to hold."""
-    qs = _quantifier_list(q)
-    legs = [
-        (_Tally(), _Tally(), _Tally() if qi.spec.transpose_invariant else None) for qi in qs
-    ]
+    qs = _quantifier_list(q, "invariance")
     run_transpose = any(qi.spec.transpose_invariant for qi in qs)
+    rows = []
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 7))
@@ -313,33 +340,23 @@ def invariance_suite(
         tau = _sample_state_rng(env, "hs_mixed", rng)
         assigned = _image(channels.assignment_channel(tau, dim), pair)
         transposed = _image(channels.transpose_map(dim), pair) if run_transpose else None
-        for qi, (unitary, assignment, transpose) in zip(qs, legs):
+        row = []
+        for qi in qs:
             before = _value(qi, pair)
             after_u = _value(qi, rotated)
-            unitary.add(
-                -abs(after_u - before), {"trial": t, "dim": dim, "before": before, "after": after_u}
-            )
             factor = qi.spec.assignment_factor(tau)
             after_a = _value(qi, assigned)
-            assignment.add(
-                -abs(after_a - factor * before),
-                {"trial": t, "dim": dim, "factor": factor, "before": before, "after": after_a},
-            )
-            if transpose is not None:
+            detail = {"trial": t, "dim": dim, "before": before}
+            legs = [
+                (-abs(after_u - before), {**detail, "after": after_u}),
+                (-abs(after_a - factor * before), {**detail, "factor": factor, "after": after_a}),
+            ]
+            if qi.spec.transpose_invariant:
                 after_t = _value(qi, transposed)
-                transpose.add(
-                    -abs(after_t - before),
-                    {"trial": t, "dim": dim, "before": before, "after": after_t},
-                )
-    reports = [
-        InvarianceReports(
-            unitary.finish("invariance_unitary", qi, seed),
-            assignment.finish("invariance_assignment", qi, seed),
-            transpose.finish("invariance_transpose", qi, seed) if transpose is not None else None,
-        )
-        for qi, (unitary, assignment, transpose) in zip(qs, legs)
-    ]
-    return _result(q, reports)
+                legs.append((-abs(after_t - before), {**detail, "after": after_t}))
+            row.append(legs)
+        rows.append(row)
+    return _suite_reports("invariance", q, qs, rows, seed)
 
 
 def orthogonal_plateau_check(
@@ -347,40 +364,27 @@ def orthogonal_plateau_check(
 ) -> Union[PropertyReport, SuiteReports]:
     """Evaluate on random orthogonal pairs of assorted ranks: the bounded
     contractive quantifiers must sit at one common maximum value."""
-    qs = _quantifier_list(q)
-    for qi in qs:
-        if qi.spec.plateau is None:
-            raise ValueError(f"{qi.tag} has no common plateau value")
-    tallies = [_Tally() for _ in qs]
+    qs = _quantifier_list(q, "plateau")
+    rows = []
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
-        rank1 = int(rng.integers(1, dim))
-        rank2 = int(rng.integers(1, dim - rank1 + 1))
-        pair = random_orthogonal_pair(dim, rank1, rank2, seed=int(rng.integers(0, 2**31)))
-        for qi, tally in zip(qs, tallies):
+        ranks, pair = _orthogonal_pair(dim, rng)
+        row = []
+        for qi in qs:
             value = _value(qi, pair)
-            tally.add(
-                -abs(value - qi.spec.plateau),
-                {"trial": t, "dim": dim, "ranks": [rank1, rank2], "value": value},
-            )
-    reports = []
-    for qi, tally in zip(qs, tallies):
-        values = np.asarray([d["value"] for d in tally.details])
-        extra = {"target": qi.spec.plateau, "sample_std": float(np.std(values))}
-        reports.append(tally.finish("plateau", qi, seed, extra=extra))
-    return _result(q, reports)
+            detail = {"trial": t, "dim": dim, "ranks": list(ranks), "value": value}
+            row.append((-abs(value - qi.spec.plateau), detail))
+        rows.append(row)
+    return _suite_reports("plateau", q, qs, rows, seed)
 
 
 def joint_convexity_suite(
     q: Quantifiers, trials: int = 300, seed: int = 0
 ) -> Union[PropertyReport, SuiteReports]:
     """S(sum mu_k rho_k, sum mu_k sigma_k) <= sum mu_k S(rho_k, sigma_k)."""
-    qs = _quantifier_list(q)
-    for qi in qs:
-        if not qi.spec.jointly_convex:
-            raise ValueError(f"{qi.tag} is not in the jointly convex set")
-    tallies = [_Tally() for _ in qs]
+    qs = _quantifier_list(q, "joint_convexity")
+    rows = []
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 5))
@@ -392,11 +396,14 @@ def joint_convexity_suite(
             validate_density(sum(w * p.first.matrix for w, p in zip(weights, pairs))),
             validate_density(sum(w * p.second.matrix for w, p in zip(weights, pairs))),
         )
-        for qi, tally in zip(qs, tallies):
+        row = []
+        for qi in qs:
             lhs = _value(qi, mixed)
             rhs = float(sum(w * _value(qi, p) for w, p in zip(weights, pairs)))
-            tally.add(rhs - lhs, {"trial": t, "dim": dim, "terms": count, "lhs": lhs, "rhs": rhs})
-    return _result(q, [tally.finish("joint_convexity", qi, seed) for qi, tally in zip(qs, tallies)])
+            detail = {"trial": t, "dim": dim, "terms": count}
+            row.append((rhs - lhs, {**detail, "lhs": lhs, "rhs": rhs}))
+        rows.append(row)
+    return _suite_reports("joint_convexity", q, qs, rows, seed)
 
 
 def kadison_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
@@ -404,36 +411,20 @@ def kadison_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
     norm of the channel's action on the identity (non-unital channels
     included; partial traces realize the extreme growth)."""
     q = QuantifierId("hs_dist")
-    margins, details = [], []
+    rows = []
     for t in range(trials):
         rng = derive_rng(seed, t)
-        if rng.random() < 0.25:
-            d_s = int(rng.integers(2, 4))
-            d_e = int(rng.integers(2, 5))
-            dim = d_s * d_e
-            label, ch = "partial_trace", channels.partial_trace_channel(d_s, d_e)
-        else:
-            dim = int(rng.integers(2, 7))
-            label, ch = _trial_channel(dim, rng)
+        label, dim, _, ch = _contraction_channel(rng, rng.random() < 0.25, (2, 6))
         pair = _random_pair(dim, rng)
-        before = qdiv.evaluate(q, pair.first, pair.second).value
-        after = qdiv.evaluate(q, apply(ch, pair.first), apply(ch, pair.second)).value
+        before = _value(q, pair)
+        after = _value(q, _image(ch, pair))
         unit_norm = float(
             np.max(np.abs(np.linalg.eigvalsh(apply_to_matrix(ch, np.eye(dim)))))
         )
         margin = unit_norm * before**2 - after**2
-        margins.append(margin)
-        details.append(
-            {
-                "trial": t,
-                "dim": dim,
-                "channel": label,
-                "unit_norm": unit_norm,
-                "before_sq": before**2,
-                "after_sq": after**2,
-            }
-        )
-    return _finish("kadison", q.label, margins, details, seed, TOL_MARGIN)
+        detail = {"trial": t, "dim": dim, "channel": label, "unit_norm": unit_norm}
+        rows.append([(margin, {**detail, "before_sq": before**2, "after_sq": after**2})])
+    return _suite_reports("kadison", q, [q], rows, seed)
 
 
 def purity_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
@@ -443,19 +434,14 @@ def purity_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
     (40% of trials) must additionally saturate it within 1e-9.
     """
     q = QuantifierId("hs_dist")
-    margins, details = [], []
+    rows = []
     violations = 0
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 7))
         orthogonal = rng.random() < 0.4
-        if orthogonal:
-            rank1 = int(rng.integers(1, dim))
-            rank2 = int(rng.integers(1, dim - rank1 + 1))
-            pair = random_orthogonal_pair(dim, rank1, rank2, seed=int(rng.integers(0, 2**31)))
-        else:
-            pair = _random_pair(dim, rng)
-        dist_sq = qdiv.evaluate(q, pair.first, pair.second).value ** 2
+        pair = _orthogonal_pair(dim, rng)[1] if orthogonal else _random_pair(dim, rng)
+        dist_sq = _value(q, pair) ** 2
         bound = 0.5 * (purity(pair.first) + purity(pair.second))
         gap = bound - dist_sq
         # Saturation is required on orthogonal pairs, only the bound otherwise;
@@ -463,11 +449,9 @@ def purity_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
         margin = -abs(gap) if orthogonal else gap
         if not ((not orthogonal or abs(gap) <= TOL_MARGIN) and gap >= -TOL_CLOSED_FORM):
             violations += 1
-        margins.append(margin)
-        details.append(
-            {"trial": t, "dim": dim, "orthogonal": orthogonal, "bound": bound, "dist_sq": dist_sq}
-        )
-    report = _finish("purity_bound", q.label, margins, details, seed, TOL_MARGIN)
+        detail = {"trial": t, "dim": dim, "orthogonal": orthogonal}
+        rows.append([(margin, {**detail, "bound": bound, "dist_sq": dist_sq})])
+    report = _suite_reports("purity_bound", q, [q], rows, seed)
     report.violations = violations
     return report
 
@@ -478,11 +462,8 @@ def stinespring_dpi_equivalence(
     """Factorize random channels into assignment, unitary and partial trace;
     the staged evaluation must match the direct one and, for the contractive
     set, decrease monotonically along the pipeline."""
-    qs = _quantifier_list(q)
-    for qi in qs:
-        if not qi.spec.contractive:
-            raise ValueError(f"{qi.tag} is not contractive; pipeline monotonicity not expected")
-    tallies = [_Tally() for _ in qs]
+    qs = _quantifier_list(q, "stinespring")
+    rows = []
     for t in range(trials):
         rng = derive_rng(seed, t)
         dim = int(rng.integers(2, 5))
@@ -493,30 +474,18 @@ def stinespring_dpi_equivalence(
         staged = [pair]
         for stage in channels.stinespring_pipeline(channels.stinespring_factorize(ch), dim):
             staged.append(_image(stage, staged[-1]))
-        for qi, tally in zip(qs, tallies):
+        row = []
+        for qi in qs:
             direct = _value(qi, direct_pair)
             stages = [_value(qi, p) for p in staged]
             gap = abs(stages[-1] - direct)
             decrements = [stages[i] - stages[i + 1] for i in range(3)]
             # -gap makes a pipeline mismatch beyond the tolerance a violation on
             # the same scale as a monotonicity failure.
-            tally.add(
-                min(min(decrements), -gap),
-                {
-                    "trial": t,
-                    "dim": dim,
-                    "env": env,
-                    "stages": stages,
-                    "direct": direct,
-                    "gap": gap,
-                },
-            )
-    reports = []
-    for qi, tally in zip(qs, tallies):
-        # The same left-to-right max as a running maximum from 0.
-        max_gap = max([0.0] + [d["gap"] for d in tally.details])
-        reports.append(tally.finish("stinespring", qi, seed, extra={"max_gap": max_gap}))
-    return _result(q, reports)
+            detail = {"trial": t, "dim": dim, "env": env, "stages": stages}
+            row.append((min(min(decrements), -gap), {**detail, "direct": direct, "gap": gap}))
+        rows.append(row)
+    return _suite_reports("stinespring", q, qs, rows, seed)
 
 
 class CounterexampleRecord(NamedTuple):

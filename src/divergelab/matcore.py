@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Hermitian eigendecomposition with a reproducible ordering and phase
-convention, Schatten norms, tensor products, partial traces and support
-projectors. Everything is computed spectrally: dimensions stay small
-(<= ~64), so exactness beats speed.
+convention, Schatten norms, partial traces and support projectors.
+Everything is computed spectrally: dimensions stay small (<= ~64), so
+exactness beats speed.
 
 The universal numeric carrier is a dense complex ``numpy.ndarray``; matrices
 read from JSON use ``{"dim": n, "re": [[...]], "im": [[...]]}`` row-major.
@@ -59,10 +59,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Scale each column by the phase that makes its pivot (the first
@@ -104,12 +100,11 @@ def eig_hermitian(m) -> SpectralDecomposition:
     return hermitized_eig(m)[1]
 
 
-SchattenKind = Literal["trace", "hilbert_schmidt", "operator"]
+SchattenKind = Literal["trace", "operator"]
 
 
 def schatten_norm(m, kind: SchattenKind) -> float:
-    """Schatten norms: trace (sum |a_i|), Hilbert-Schmidt (sqrt sum a_i^2),
-    operator (max |a_i|).
+    """Schatten norms: trace (sum |a_i|) and operator (max |a_i|).
 
     Hermitian input is routed through the eigenvalues; general square input
     through the singular values.
@@ -123,16 +118,9 @@ def schatten_norm(m, kind: SchattenKind) -> float:
         a = np.linalg.svd(m, compute_uv=False)
     if kind == "trace":
         return float(np.sum(a))
-    if kind == "hilbert_schmidt":
-        return float(np.sqrt(np.sum(a * a)))
     if kind == "operator":
         return float(np.max(a)) if a.size else 0.0
     raise ValueError(f"unknown Schatten norm kind {kind!r}")
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the first factor indexes the slow (left) subsystem."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(m, dims: tuple[int, int], keep: Literal["S", "E"] = "S") -> np.ndarray:

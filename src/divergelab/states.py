@@ -1,4 +1,4 @@
-"""Validated density matrices, random-state ensembles, purification and
+"""Validated density matrices, random-state ensembles and
 orthogonality/commutation predicates.
 
 A ``DensityMatrix`` is immutable and carries its spectral decomposition, so
@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import matcore
-from .errors import BadRank, DimensionMismatch, NotHermitian, NotPSD, TraceNotOne
+from .errors import BadRank, DimensionMismatch, InvalidState, NotHermitian, NotPSD, TraceNotOne
 from .matcore import SpectralDecomposition, dagger
 from .sampling import derive_rng, ginibre, haar_unitary, random_unit_vector
 
@@ -57,12 +57,6 @@ class StatePair(NamedTuple):
     @property
     def dim(self) -> int:
         return self.first.dim
-
-
-def pair(first: DensityMatrix, second: DensityMatrix) -> StatePair:
-    if first.dim != second.dim:
-        raise DimensionMismatch(f"state dims differ: {first.dim} vs {second.dim}")
-    return StatePair(first, second)
 
 
 def validate_density(m) -> DensityMatrix:
@@ -144,28 +138,6 @@ def _sample_state_rng(
     return validate_density(m / np.real(np.trace(m)))
 
 
-def purify(rho: DensityMatrix, ancilla_dim: Optional[int] = None) -> np.ndarray:
-    """Pure-state vector on system x ancilla whose reduction is ``rho``.
-
-    Uses the minimal ancilla (the rank of rho) unless a larger ``ancilla_dim``
-    is requested, e.g. to place several purifications in a common space.
-    """
-    lam = rho.eigenvalues
-    keep = lam > matcore.SUPPORT_TOL
-    rank = int(np.count_nonzero(keep))
-    if ancilla_dim is None:
-        ancilla_dim = rank
-    if ancilla_dim < rank:
-        raise BadRank(f"ancilla_dim {ancilla_dim} below state rank {rank}")
-    vecs = rho.eigenvectors[:, keep]
-    out = np.zeros(rho.dim * ancilla_dim, dtype=np.complex128)
-    for i in range(rank):
-        ancilla = np.zeros(ancilla_dim)
-        ancilla[i] = 1.0
-        out += np.sqrt(lam[keep][i]) * np.kron(vecs[:, i], ancilla)
-    return out
-
-
 class OrthogonalityCheck(NamedTuple):
     orthogonal: bool
     overlap: float
@@ -219,13 +191,21 @@ def state_from_spec(spec: str) -> DensityMatrix:
     """Parse generator specs like ``haar_pure:dim=4:seed=7``.
 
     Recognized kinds: haar_pure, hs_mixed, rank_limited (needs rank=, dim=,
-    seed=) and max_mixed (dim= only).
+    seed=) and max_mixed (dim= only). An unknown field, a field without an
+    integer value or a missing dim= raises InvalidState naming the field.
     """
     parts = spec.split(":")
     kind, fields = parts[0], {}
     for part in parts[1:]:
         key, _, value = part.partition("=")
-        fields[key] = int(value)
+        if key not in ("dim", "seed", "rank"):
+            raise InvalidState(f"state spec {spec!r}: unknown field {key!r}")
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise InvalidState(f"state spec {spec!r}: field {key!r} needs an integer") from None
+    if "dim" not in fields:
+        raise InvalidState(f"state spec {spec!r}: field 'dim' is missing")
     if kind == "max_mixed":
         return maximally_mixed(fields["dim"])
     return sample_state(

@@ -1,9 +1,12 @@
 """The benchmark's tracer wraps package functions by module and name; every
 one of them must still exist, or the traced pass of the benchmark breaks.
 Its trial count reads what the suites return, so a suite run over several
-quantifiers must still be counted trial by trial."""
+quantifiers must still be counted trial by trial. The benchmark's gate
+compares default-seed reports with its committed reference, so the low-dim
+workload is run against that reference here too."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,34 @@ def test_tracer_counts_every_trial_of_a_multi_quantifier_suite(suite, capsys):
     assert left == []
     assert tracer.harness_trials == trials * reports
     assert tracer.layer_metrics(0)["sampling.derive_rng.calls"] == trials
+
+
+def test_lowdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
+    """Every suites_lowdim call at the default seed passes the benchmark's gate,
+    its reference comparison at 1e-12 included."""
+    from divergelab import cli
+
+    # gate imports workloads by name from its own directory; both names and
+    # the path entry are put back afterwards.
+    names = ("gate", "workloads")
+    saved_modules = {name: sys.modules[name] for name in names if name in sys.modules}
+    saved_path = list(sys.path)
+    sys.path.insert(0, str(TRACER.parent))
+    try:
+        gate = importlib.import_module("gate")
+        workloads = importlib.import_module("workloads")
+        reference = gate.load_reference("suites_lowdim")
+        assert reference is not None
+        outcomes = []
+        for i, call in enumerate(workloads.build("suites_lowdim", workloads.DEFAULT_SEED)):
+            out = tmp_path / f"call{i}.json"
+            code = cli.main(list(call.argv) + ["--out", str(out)])
+            outcomes.append(gate.check_call(call, code, None, out.read_text(), reference))
+    finally:
+        sys.path[:] = saved_path
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved_modules)
+    capsys.readouterr()
+    assert {o.call.argv[1]: o.problems for o in outcomes if o.problems} == {}
+    assert sum(o.attempted for o in outcomes) == 44

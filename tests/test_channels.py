@@ -13,8 +13,6 @@ from divergelab.channels import (
     choi_matrix,
     compose,
     haar_twirl_mc,
-    identity_channel,
-    kraus_channel,
     orthogonal_to_target_channel,
     partial_trace_channel,
     random_cptp,
@@ -25,7 +23,6 @@ from divergelab.channels import (
 )
 from divergelab.errors import (
     DimensionMismatch,
-    InvalidChannel,
     NotOrthonormal,
     NotUnitary,
     OutputInvalid,
@@ -55,7 +52,7 @@ def channels_agree(a, b, dim, tol=1e-9):
 class TestApply:
     def test_identity(self):
         rho = sample_state(3, "hs_mixed", seed=1)
-        assert np.max(np.abs(apply(identity_channel(3), rho).matrix - rho.matrix)) < 1e-14
+        assert np.max(np.abs(apply(unitary_channel(np.eye(3)), rho).matrix - rho.matrix)) < 1e-14
 
     def test_bit_flip_unitary(self):
         out = apply(unitary_channel(SIGMA_X), P_PLUS)
@@ -68,7 +65,7 @@ class TestApply:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply(identity_channel(3), P_PLUS)
+            apply(unitary_channel(np.eye(3)), P_PLUS)
 
     def test_output_invalid_flags_malformed_channel(self):
         broken = KrausChannel((0.5 * np.eye(2),), 2, 2)
@@ -112,7 +109,7 @@ class TestConstructors:
 class TestCompose:
     def test_identity_neutral(self):
         ch = random_cptp(3, 2, seed=9)
-        composed = compose(identity_channel(3), ch)
+        composed = compose(unitary_channel(np.eye(3)), ch)
         assert channels_agree(composed, ch, 3, tol=1e-12)
 
     def test_kraus_count_multiplies(self):
@@ -122,7 +119,7 @@ class TestCompose:
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            compose(partial_trace_channel(2, 2), identity_channel(3))
+            compose(partial_trace_channel(2, 2), unitary_channel(np.eye(3)))
 
 
 class TestRandomCPTP:
@@ -165,7 +162,7 @@ class TestStinespring:
 
     def test_phase_flip(self):
         ops = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])]
-        ch = kraus_channel(ops)
+        ch = KrausChannel(tuple(ops), 2, 2)
         form = stinespring_factorize(ch)
         assert form.env_dim == 2
         assign, conj, ptrace = stinespring_pipeline(form, 2)
@@ -279,7 +276,3 @@ class TestDiagnostics:
     def test_scaled_family_flagged(self):
         broken = KrausChannel((0.9 * np.eye(2),), 2, 2)
         assert check_cptp(broken).tp_residual > 0.1
-
-    def test_kraus_channel_factory_rejects_bad_families(self):
-        with pytest.raises(InvalidChannel):
-            kraus_channel([0.9 * np.eye(2)])

@@ -64,6 +64,16 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [("haar_pure:seed=3", "field 'dim' is missing"), ("haar_pure:dim=x", "field 'dim'")],
+    )
+    def test_malformed_spec_is_usage_error_naming_the_field(self, spec, named, capsys):
+        code, out, err = run(["eval", "trace_dist", spec, "pplus"], capsys)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
 
 class TestSuite:
     def test_dpi_trace_dist_passes(self, capsys):
@@ -210,6 +220,16 @@ class TestSuiteInputChecks:
         code, out, _ = run(["suite", "stinespring", "--seed", "2"], capsys)
         assert code == 0
         assert "suite=stinespring q=trace_dist trials=50 violations=0" in out
+
+    @pytest.mark.parametrize("suite", ["kadison", "purity-bound"])
+    def test_hs_dist_suites_refuse_q(self, suite, capsys):
+        # both suites check hs_dist alone, so a --q would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", suite, "--q", "trace_dist", "--trials", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --q: suite {suite}" in captured.err
 
     def test_log_base_is_an_eval_flag_only(self, capsys):
         # no suite converts its values, so a suite --log-base would be ignored

@@ -1,14 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
-from divergelab import matcore, states
+from divergelab import states
 from divergelab.errors import (
     BadRank,
     DimensionMismatch,
     DimensionMismatch,
     DomainError,
+    InvalidState,
     NotHermitian,
     NotPSD,
     TraceNotOne,
@@ -19,9 +18,7 @@ from divergelab.states import (
     commute,
     load_fixture,
     maximally_mixed,
-    pair,
     pure_state,
-    purify,
     purity,
     random_orthogonal_pair,
     sample_state,
@@ -85,10 +82,6 @@ class TestValidateDensity:
         rho = validate_density(m)
         assert rho.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
-    def test_pair_dim_check(self):
-        with pytest.raises(DimensionMismatch):
-            pair(maximally_mixed(2), maximally_mixed(3))
-
 
 class TestPurity:
     def test_pure(self):
@@ -128,65 +121,31 @@ class TestSampleState:
             sample_state(3, "rank_limited", seed=0, rank=7)
 
 
-class TestPurify:
-    def test_pure_input_is_itself_with_trivial_ancilla(self):
-        v = np.array([1.0, 1j, 0.0]) / math.sqrt(2)
-        psi = purify(pure_state(v))
-        assert psi.shape == (3,)
-        assert abs(abs(v.conj() @ psi) - 1.0) < 1e-12
-
-    def test_maximally_mixed_purifies_to_bell_type(self):
-        psi = purify(maximally_mixed(2))
-        reduced = matcore.partial_trace(np.outer(psi, psi.conj()), (2, 2), keep="S")
-        assert np.max(np.abs(reduced - np.eye(2) / 2)) < 1e-12
-
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_roundtrip_trace_norm(self, dim):
-        for seed in range(34):
-            rho = sample_state(dim, "hs_mixed", seed=seed)
-            psi = purify(rho)
-            reduced = matcore.partial_trace(
-                np.outer(psi, psi.conj()), (dim, psi.shape[0] // dim), keep="S"
-            )
-            assert matcore.schatten_norm(reduced - rho.matrix, "trace") < 1e-10
-
-    def test_purifications_of_orthogonal_states_are_orthogonal(self):
-        p = random_orthogonal_pair(5, 2, 2, seed=17)
-        ancilla = 2
-        psi1 = purify(p.first, ancilla_dim=ancilla)
-        psi2 = purify(p.second, ancilla_dim=ancilla)
-        assert abs(psi1.conj() @ psi2) < 1e-12
-
-    def test_ancilla_below_rank(self):
-        with pytest.raises(BadRank):
-            purify(maximally_mixed(3), ancilla_dim=2)
-
-
 class TestOrthogonality:
     def test_projector_pair(self):
-        check = are_orthogonal(pair(validate_density(P_PLUS), validate_density(P_MINUS)))
+        check = are_orthogonal(StatePair(validate_density(P_PLUS), validate_density(P_MINUS)))
         assert check.orthogonal and check.overlap < 1e-12
 
     def test_same_state_overlaps_fully(self):
         rho = sample_state(3, "hs_mixed", seed=2)
-        check = are_orthogonal(pair(rho, rho))
+        check = are_orthogonal(StatePair(rho, rho))
         assert not check.orthogonal and abs(check.overlap - 1.0) < 1e-10
 
     def test_block_fixtures(self):
-        check = are_orthogonal(pair(load_fixture("w1"), load_fixture("w2")))
+        check = are_orthogonal(StatePair(load_fixture("w1"), load_fixture("w2")))
         assert check.orthogonal
 
 
 class TestCommute:
     def test_diagonal_pair(self):
-        assert commute(pair(validate_density(np.diag([0.7, 0.3])), validate_density(P_MINUS)))
+        assert commute(StatePair(validate_density(np.diag([0.7, 0.3])), validate_density(P_MINUS)))
 
     def test_noncommuting_example(self):
         plus = pure_state([1.0, 1.0])
         # commutator oracle: [P_plus, |+><+|] has Frobenius norm 1/sqrt(2)
         c = P_PLUS @ plus.matrix - plus.matrix @ P_PLUS
         assert np.linalg.norm(c) > 0.5
-        assert not commute(pair(validate_density(P_PLUS), plus))
+        assert not commute(StatePair(validate_density(P_PLUS), plus))
 
     def test_orthogonal_supports_commute(self):
         for seed in range(10):
@@ -231,6 +190,22 @@ def test_state_from_spec():
     b = state_from_spec("haar_pure:dim=4:seed=7")
     assert np.array_equal(a.matrix, b.matrix)
     assert state_from_spec("max_mixed:dim=3").dim == 3
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ("haar_pure:seed=3", "'dim' is missing"),
+        ("max_mixed", "'dim' is missing"),
+        ("haar_pure:dim=x", "'dim' needs an integer"),
+        ("hs_mixed:dim=3:seed=", "'seed' needs an integer"),
+        ("rank_limited:dim=3:rank=1.5", "'rank' needs an integer"),
+        ("haar_pure:dims=3", "unknown field 'dims'"),
+    ],
+)
+def test_malformed_spec_names_the_field(spec, field):
+    with pytest.raises(InvalidState, match=field):
+        state_from_spec(spec)
 
 
 def test_fixture_pair_values():
