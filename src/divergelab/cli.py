@@ -104,7 +104,7 @@ def _format_value(value: float, q: QuantifierId, log_base: str) -> str:
 def cmd_eval(args: argparse.Namespace) -> int:
     rho = _load_state(args.state_a)
     sigma = _load_state(args.state_b)
-    q = qdiv.quantifier(args.quantifier, args.mu)
+    q = qdiv.quantifier(args.quantifier, 0.3 if args.mu is None else args.mu)
     result = qdiv.evaluate(q, rho, sigma)
     print(_format_value(result.value, q, args.log_base))
     return 0
@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("quantifier", choices=qdiv.ALL_TAGS)
     p_eval.add_argument("state_a", help="file path, fixture name, or generator spec")
     p_eval.add_argument("state_b")
-    p_eval.add_argument("--mu", type=float, default=0.3)
+    p_eval.add_argument(
+        "--mu", type=float, default=None, help="mu of qsd and holevo_skew (default 0.3)"
+    )
     p_eval.add_argument("--log-base", choices=("nat", "bits"), default="nat")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -326,6 +328,8 @@ def _check_suite_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval" and args.mu is not None and args.quantifier not in qdiv.NEEDS_MU:
+        parser.error(f"argument --mu: {args.quantifier} takes no mu")
     if args.command == "suite":
         _check_suite_args(parser, args)
         args.seed = _resolve_seed(parser, args.seed)

@@ -47,7 +47,8 @@ class NotUnitary(DivergelabError):
 
 class InvalidState(DivergelabError):
     """Operator is not a valid density matrix for the requested use, or a
-    generator spec does not describe one."""
+    generator spec does not describe one: it lacks dim=, or has a field that
+    is unknown, not an integer, or not read by its kind."""
 
 
 class NotOrthonormal(DivergelabError):

@@ -10,6 +10,7 @@ read from JSON use ``{"dim": n, "re": [[...]], "im": [[...]]}`` row-major.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -39,12 +40,30 @@ def as_matrix(obj) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     scale = max(1.0, float(np.linalg.norm(m)))
     return float(np.linalg.norm(m - dagger(m))) <= tol * scale
+
+
+def non_hermitian_rows(ms: np.ndarray, tol: float = HERMITICITY_TOL) -> list[int]:
+    """The indices of the matrices of a stack ``(N, n, n)`` that fail
+    ``is_hermitian``.
+
+    Stacked norms sum in another order than ``np.linalg.norm``, so a bound
+    screens first: ``sqrt(2) n`` times the largest real or imaginary part of
+    ``m - m^dag`` bounds its Frobenius norm, and ``tol`` bounds
+    ``tol * max(1, ||m||_F)``. When every matrix passes it by a margin far
+    above roundoff, all are Hermitian; otherwise ``is_hermitian`` decides
+    each one.
+    """
+    parts = np.abs(np.subtract(ms, dagger(ms), order="C").view(np.float64))
+    if parts.max(initial=0.0) * (math.sqrt(2.0) * ms.shape[-1] * (1.0 + 1e-9)) < tol:
+        return []
+    return [i for i, m in enumerate(ms) if not is_hermitian(m, tol)]
 
 
 @dataclass(frozen=True)
@@ -63,33 +82,38 @@ class SpectralDecomposition:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Scale each column by the phase that makes its pivot (the first
     component with magnitude above 1e-8 of the column's max) real and
-    positive; a column with a zero pivot is left as it is."""
-    n = vectors.shape[1]
+    positive; a column with a zero pivot is left as it is. Works on one
+    matrix of columns or on a stack of them."""
+    n = vectors.shape[-1]
     if n == 0:
         return vectors.copy()
-    mags = np.abs(vectors)
-    first = (mags > 1e-8 * np.maximum.reduce(mags)).argmax(0)
-    cols = np.arange(n)
-    pivot = vectors[first, cols]
-    size = mags[first, cols]
-    factor = np.divide(size, pivot, out=np.ones(n, dtype=np.complex128), where=size > 0)
+    v = vectors.reshape(-1, n, n)
+    mags = np.abs(v)
+    first = (mags > 1e-8 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    at = (np.arange(len(v))[:, None], first, np.arange(n))
+    size, pivot = mags[at], v[at]
+    if size.all():
+        factor = size / pivot
+    else:
+        ones = np.ones(size.shape, dtype=np.complex128)
+        factor = np.divide(size, pivot, out=ones, where=size > 0)
     # Each column times its own scalar, as a column-by-column loop does it;
     # at d = 1 a plain ``vectors * factor`` differs from that in the last bit.
-    return (vectors.T * factor[:, None]).T.copy()
+    fixed = (v.swapaxes(1, 2) * factor[:, :, None]).swapaxes(1, 2)
+    return np.ascontiguousarray(fixed.reshape(vectors.shape))
 
 
-def hermitized_eig(m) -> tuple[np.ndarray, SpectralDecomposition]:
-    """The Hermitian part ``(m + m^dag) / 2`` of m and its spectral
-    decomposition, after the checks of ``eig_hermitian``."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"matrix is {m.shape}, expected square")
-    if not is_hermitian(m):
-        raise NotHermitian("matrix is not Hermitian within 1e-10 (relative)")
-    h = (m + dagger(m)) / 2.0
+def hermitized_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian parts ``(m + m^dag) / 2`` of a stack ``(N, n, n)`` of
+    matrices, with their eigenvalues (descending) and phase-fixed
+    eigenvectors as ``SpectralDecomposition`` holds them. It checks
+    nothing: ``eig_hermitian`` and state validation check their input
+    first. Each matrix gets the bits it gets alone."""
+    h = (ms + dagger(ms)) / 2.0
     w, v = np.linalg.eigh(h)
-    order = np.argsort(-w, kind="stable")
-    return h, SpectralDecomposition(w[order].astype(float), _fix_phases(v[:, order]))
+    order = (-w).argsort(axis=1, kind="stable")
+    rows = np.arange(len(w))[:, None]
+    return h, w[rows, order], _fix_phases(v.swapaxes(1, 2)[rows, order].swapaxes(1, 2))
 
 
 def eig_hermitian(m) -> SpectralDecomposition:
@@ -97,7 +121,13 @@ def eig_hermitian(m) -> SpectralDecomposition:
 
     Raises NotHermitian when ``||m - m^dag||_F > 1e-10 * max(1, ||m||_F)``.
     """
-    return hermitized_eig(m)[1]
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"matrix is {m.shape}, expected square")
+    if not is_hermitian(m):
+        raise NotHermitian("matrix is not Hermitian within 1e-10 (relative)")
+    _, w, v = hermitized_eig(m[None])
+    return SpectralDecomposition(w[0], v[0])
 
 
 SchattenKind = Literal["trace", "operator"]
@@ -112,15 +142,31 @@ def schatten_norm(m, kind: SchattenKind) -> float:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix is {m.shape}, expected square")
-    if is_hermitian(m):
-        a = np.abs(np.linalg.eigvalsh((m + dagger(m)) / 2.0))
-    else:
-        a = np.linalg.svd(m, compute_uv=False)
-    if kind == "trace":
-        return float(np.sum(a))
-    if kind == "operator":
-        return float(np.max(a)) if a.size else 0.0
-    raise ValueError(f"unknown Schatten norm kind {kind!r}")
+    return float(schatten_norms(m[None], kind)[0])
+
+
+def schatten_norms(ms: np.ndarray, kind: SchattenKind) -> np.ndarray:
+    """``schatten_norm`` of each matrix of a finite square stack ``(N, n, n)``."""
+    if kind not in ("trace", "operator"):
+        raise ValueError(f"unknown Schatten norm kind {kind!r}")
+    a = _abs_spectra(ms)
+    return a.sum(axis=-1) if kind == "trace" else a.max(axis=-1, initial=0.0)
+
+
+def _abs_spectra(ms: np.ndarray) -> np.ndarray:
+    """|eigenvalues| of the Hermitian matrices of a stack, singular values
+    of the others."""
+    other = [i for i, m in enumerate(ms) if not is_hermitian(m)]
+    if not other:
+        return np.abs(np.linalg.eigvalsh((ms + dagger(ms)) / 2.0))
+    if len(other) == len(ms):
+        return np.linalg.svd(ms, compute_uv=False)
+    hermitian = np.ones(len(ms), dtype=bool)
+    hermitian[other] = False
+    a = np.empty(ms.shape[:-1])
+    a[hermitian] = _abs_spectra(ms[hermitian])
+    a[other] = _abs_spectra(ms[other])
+    return a
 
 
 def partial_trace(m, dims: tuple[int, int], keep: Literal["S", "E"] = "S") -> np.ndarray:

@@ -20,19 +20,93 @@ import numpy as np
 from . import cdiv, matcore
 from .errors import BadMu, DimensionMismatch, NotCommuting, WeightError
 from .matcore import dagger
-from .result import QuantifierResult
-from .states import DensityMatrix, StatePair, commute, purity, validate_density
+from .result import NEGATIVE_CLIP, QuantifierResult
+from .states import (
+    DensityMatrix,
+    DensityStack,
+    StatePair,
+    commute,
+    purity,
+    validate_density,
+    validate_stack,
+)
+
+_SQRT2 = math.sqrt(2.0)
 
 
-def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+def _check_dims(rho, sigma) -> None:
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"state dims differ: {rho.dim} vs {sigma.dim}")
+
+
+# The kernels below take a pair of states, or a pair of ``DensityStack``s
+# and work row by row; each gives a stacked row the bits it gives that
+# row's pair alone. The public functions are their one-pair case.
+
+
+def _checked(values):
+    """``QuantifierResult.of(v).value`` for one value, or for each value of
+    an array; the first value it refuses raises its error."""
+    if isinstance(values, float):
+        return QuantifierResult.of(values).value
+    bad = ~np.isfinite(values) | (values < NEGATIVE_CLIP)
+    if bad.any():
+        QuantifierResult.of(values[bad][0])
+    return np.where(values < 0.0, 0.0, values)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     lam = rho.eigenvalues
     pos = lam > 0.0
     return float(-np.sum(lam[pos] * np.log(lam[pos])))
+
+
+def _columns(vectors: np.ndarray, cols: slice) -> np.ndarray:
+    """A block of columns (of each matrix of a stack) in column-major order,
+    the layout that selecting columns by a boolean mask gives: the products
+    below then take the BLAS path, and so the bits, of the one-pair code."""
+    return np.ascontiguousarray(vectors[..., cols].swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _relative_entropy_block(m, lam, v, kap, w, r: int, s: int):
+    """D(rho || sigma) for pairs whose spectra have r and s eigenvalues above
+    the support threshold; the spectra are sorted descending, so these are
+    the leading ones. ``m``, ``lam`` and ``v`` belong to rho, ``kap`` and
+    ``w`` to sigma."""
+    lam_r, kap_s = lam[..., :r], kap[..., :s]
+    # The adjoint of rho's support block, laid out as dagger(_columns(...)).
+    bras = np.conjugate(v[..., :r].swapaxes(-1, -2), order="C")
+    overlaps = np.abs(bras @ _columns(w, slice(s))) ** 2
+    cross = ((lam_r[..., None, :] @ overlaps) @ np.log(kap_s)[..., None])[..., 0, 0]
+    value = (lam_r * np.log(lam_r)).sum(axis=-1) - cross
+    if s == w.shape[-1]:
+        return _checked(value)
+    # ||(1 - P_sigma) rho (1 - P_sigma)||_op, compressed onto the excluded
+    # eigenvectors (an isometry, so eigenvalues agree).
+    excluded = _columns(w, slice(s, None))
+    block = dagger(excluded) @ m @ excluded
+    spectrum = np.linalg.eigvalsh((block + dagger(block)) / 2.0)
+    outside = np.abs(spectrum).max(axis=-1) > matcore.SUPPORT_TOL
+    return np.where(outside, math.inf, _checked(np.where(outside, 0.0, value)))
+
+
+def _relative_entropies(rho, sigma):
+    """Relative entropy kernel; rows are grouped by the ranks of the two
+    spectra, which fix the shapes of every product."""
+    tol, n = matcore.SUPPORT_TOL, rho.dim + 1
+    args = rho.matrix, rho.eigenvalues, rho.eigenvectors, sigma.eigenvalues, sigma.eigenvectors
+    if rho.eigenvalues.ndim == 1:
+        ranks = np.count_nonzero(rho.eigenvalues > tol), np.count_nonzero(sigma.eigenvalues > tol)
+        return _relative_entropy_block(*args, *ranks)
+    keys = (rho.eigenvalues > tol).sum(axis=-1) * n + (sigma.eigenvalues > tol).sum(axis=-1)
+    groups = set(keys.tolist())
+    if len(groups) == 1:
+        return _relative_entropy_block(*args, *divmod(groups.pop(), n))
+    values = np.empty(len(keys))
+    for key in groups:
+        rows = keys == key
+        values[rows] = _relative_entropy_block(*(a[rows] for a in args), *divmod(key, n))
+    return values
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
@@ -44,21 +118,19 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResu
     never produced by taking the log of a clipped zero.
     """
     _check_dims(rho, sigma)
-    lam, v = rho.eigenvalues, rho.eigenvectors
-    kap, w = sigma.eigenvalues, sigma.eigenvectors
-    ri = lam > matcore.SUPPORT_TOL
-    rj = kap > matcore.SUPPORT_TOL
-    excluded = w[:, ~rj]
-    if excluded.shape[1]:
-        # ||(1 - P_sigma) rho (1 - P_sigma)||_op, compressed onto the
-        # excluded eigenvectors (an isometry, so eigenvalues agree).
-        block = dagger(excluded) @ rho.matrix @ excluded
-        if float(np.max(np.abs(np.linalg.eigvalsh((block + dagger(block)) / 2.0)))) > matcore.SUPPORT_TOL:
-            return QuantifierResult.infinite()
-    overlaps = np.abs(dagger(v[:, ri]) @ w[:, rj]) ** 2
-    lam_r, kap_r = lam[ri], kap[rj]
-    value = float(np.sum(lam_r * np.log(lam_r)) - (lam_r @ overlaps) @ np.log(kap_r))
-    return QuantifierResult.of(value)
+    value = float(_relative_entropies(rho, sigma))
+    return QuantifierResult.infinite() if value == math.inf else QuantifierResult(value)
+
+
+def _mixture(rho, sigma, mu: float):
+    return mu * rho.matrix + (1.0 - mu) * sigma.matrix
+
+
+def _mixture_rows(firsts: DensityStack, seconds: DensityStack, mu: float, a: float, b: float):
+    """The mixture divergence kernel on stacks, each row's mixture validated
+    in one stacked call."""
+    m = validate_stack(_mixture(firsts, seconds, mu))
+    return a * _relative_entropies(firsts, m) + b * _relative_entropies(seconds, m)
 
 
 def _mixture_divergence(
@@ -76,9 +148,9 @@ def _mixture_divergence(
     if last is not None and last[0] is sigma and last[1] == mu:
         first, second = last[2], last[3]
     else:
-        m = validate_density(mu * rho.matrix + (1.0 - mu) * sigma.matrix)
-        first = relative_entropy(rho, m).value
-        second = relative_entropy(sigma, m).value
+        m = validate_density(_mixture(rho, sigma, mu))
+        first = float(_relative_entropies(rho, m))
+        second = float(_relative_entropies(sigma, m))
         rho.memo["mixture"] = (sigma, mu, first, second)
     return QuantifierResult.of(a * first + b * second)
 
@@ -115,10 +187,13 @@ def holevo_chi(ensemble: Sequence[tuple[float, DensityMatrix]]) -> float:
     return QuantifierResult.of(value).value
 
 
+def _trace_distances(rho, sigma):
+    return 0.5 * np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum(axis=-1)
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     _check_dims(rho, sigma)
-    eig = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return QuantifierResult.of(0.5 * float(np.sum(np.abs(eig))))
+    return QuantifierResult.of(_trace_distances(rho, sigma))
 
 
 def quantum_js(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
@@ -126,50 +201,72 @@ def quantum_js(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     return _mixture_divergence(rho, sigma, *cdiv.js_weights())
 
 
-def _psd_sqrt(rho: DensityMatrix) -> np.ndarray:
+def _psd_roots(rho):
     # sqrt amplifies eigenvalue roundoff (1e-16 -> 1e-8); zero the
     # sub-support eigenvalues so orthogonal supports stay orthogonal.
+    lam = np.where(rho.eigenvalues > matcore.SUPPORT_TOL, rho.eigenvalues, 0.0)
+    v = rho.eigenvectors
+    return (v * np.sqrt(lam)[..., None, :]) @ dagger(v)
+
+
+def _psd_sqrt(rho: DensityMatrix) -> np.ndarray:
     # Kept on the state, so bures and hellinger compute it once.
     root = rho.memo.get("sqrt")
     if root is None:
-        lam = np.where(rho.eigenvalues > matcore.SUPPORT_TOL, rho.eigenvalues, 0.0)
-        v = rho.eigenvectors
-        root = rho.memo["sqrt"] = (v * np.sqrt(lam)) @ dagger(v)
+        root = rho.memo["sqrt"] = _psd_roots(rho)
         root.flags.writeable = False
     return root
 
 
-def _sqrt_clipped(x: float) -> float:
-    return math.sqrt(QuantifierResult.of(x).value)
+def _bures(root_sigma: np.ndarray, root_rho: np.ndarray):
+    product = root_sigma @ root_rho
+    d = product.shape[-1]
+    affinity = matcore.schatten_norms(product.reshape(-1, d, d), "trace")
+    # One value for one pair, one per row for stacks.
+    return np.sqrt(_checked(1.0 - affinity.reshape(product.shape[:-2])[()]))
 
 
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """sqrt(1 - Tr |sqrt(sigma) sqrt(rho)|)."""
     _check_dims(rho, sigma)
-    affinity = matcore.schatten_norm(_psd_sqrt(sigma) @ _psd_sqrt(rho), "trace")
-    return QuantifierResult.of(_sqrt_clipped(1.0 - affinity))
+    return QuantifierResult.of(_bures(_psd_sqrt(sigma), _psd_sqrt(rho)))
+
+
+def _hellinger(root_sigma: np.ndarray, root_rho: np.ndarray):
+    overlap = np.trace(root_sigma @ root_rho, axis1=-2, axis2=-1).real
+    return np.sqrt(_checked(1.0 - overlap))
 
 
 def hellinger_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """sqrt(1 - Tr sqrt(sigma) sqrt(rho))."""
     _check_dims(rho, sigma)
-    overlap = float(np.real(np.trace(_psd_sqrt(sigma) @ _psd_sqrt(rho))))
-    return QuantifierResult.of(_sqrt_clipped(1.0 - overlap))
+    return QuantifierResult.of(_hellinger(_psd_sqrt(sigma), _psd_sqrt(rho)))
+
+
+def _hs_distances(rho, sigma):
+    # np.linalg.norm of each matrix: its stacked form sums in another order.
+    diff = rho.matrix - sigma.matrix
+    norms = np.linalg.norm(diff) if diff.ndim == 2 else np.array([np.linalg.norm(m) for m in diff])
+    return norms / _SQRT2
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """Hilbert-Schmidt norm of the difference, scaled by 1/sqrt(2) so a pure
     orthogonal qubit pair sits at 1."""
     _check_dims(rho, sigma)
-    return QuantifierResult.of(float(np.linalg.norm(rho.matrix - sigma.matrix)) / math.sqrt(2.0))
+    return QuantifierResult.of(_hs_distances(rho, sigma))
+
+
+def _d_infs(rho, sigma):
+    diff = rho.matrix - sigma.matrix
+    w, _ = np.linalg.eigh((diff + dagger(diff)) / 2.0)
+    return np.abs(w).max(axis=-1)
 
 
 def d_infinity(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """Operator norm of the difference: the maximum of Tr |w (rho - sigma)| over states w."""
     _check_dims(rho, sigma)
-    diff = rho.matrix - sigma.matrix
-    w, _ = np.linalg.eigh((diff + dagger(diff)) / 2.0)
-    return QuantifierResult.of(float(np.max(np.abs(w))))
+    return QuantifierResult.of(_d_infs(rho, sigma))
 
 
 def _joint_eigenbasis(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -233,21 +330,24 @@ def classical_reduction(
 
 
 def _root_infidelity(p: cdiv.Distribution, s: cdiv.Distribution, mu) -> QuantifierResult:
-    return QuantifierResult.of(_sqrt_clipped(1.0 - cdiv.bhattacharyya_coefficient(p, s)))
+    return QuantifierResult.of(np.sqrt(_checked(1.0 - cdiv.bhattacharyya_coefficient(p, s))))
 
 
 @dataclass(frozen=True)
 class QuantifierSpec:
     """Everything the package knows about one quantifier.
 
-    ``quantum`` evaluates it on two states, ``classical`` on the joint
-    eigenvalue distributions of a commuting pair; both take mu, which only
-    ``needs_mu`` entries use. Entries call the public functions by their
-    module-global names at call time, so rebinding such a name reaches
-    every evaluation.
+    ``quantum`` evaluates it on two states, ``rows`` on each row pair of
+    two ``DensityStack``s (the same kernel, so row i has the bits of
+    ``quantum`` on that pair), ``classical`` on the joint eigenvalue
+    distributions of a commuting pair; all take mu, which only
+    ``needs_mu`` entries use. ``quantum`` entries call the public functions
+    by their module-global names at call time, so rebinding such a name
+    reaches every evaluation of one pair.
     """
 
     quantum: Callable[[DensityMatrix, DensityMatrix, Optional[float]], QuantifierResult]
+    rows: Callable[[DensityStack, DensityStack, Optional[float]], np.ndarray]
     classical: Callable[[cdiv.Distribution, cdiv.Distribution, Optional[float]], QuantifierResult]
     needs_mu: bool = False
     contractive: bool = False  # under every CPTP map
@@ -265,42 +365,52 @@ class QuantifierSpec:
 QUANTIFIERS = {
     "rel_entropy": QuantifierSpec(
         lambda r, s, mu: relative_entropy(r, s),
+        lambda r, s, mu: _relative_entropies(r, s),
         lambda p, s, mu: cdiv.f_divergence(cdiv.kl(), p, s),
         contractive=True, transpose_invariant=True, jointly_convex=True, base_dependent=True,
     ),
     "qsd": QuantifierSpec(
         lambda r, s, mu: quantum_skew_divergence(r, s, mu),
+        lambda r, s, mu: _checked(_mixture_rows(r, s, *cdiv.skew_weights(cdiv.check_mu(mu)))),
         lambda p, s, mu: cdiv.f_divergence(cdiv.skew(mu), p, s),
         needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
         plateau=1.0, maximum=1.0,
     ),
     "holevo_skew": QuantifierSpec(
         lambda r, s, mu: holevo_skew_divergence(r, s, mu),
+        lambda r, s, mu: _checked(_mixture_rows(r, s, *cdiv.holevo_weights(cdiv.check_mu(mu)))),
         lambda p, s, mu: cdiv.f_divergence(cdiv.hsd(mu), p, s),
         needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
         plateau=1.0, maximum=1.0,
     ),
     "trace_dist": QuantifierSpec(
         lambda r, s, mu: trace_distance(r, s),
+        lambda r, s, mu: _checked(_trace_distances(r, s)),
         lambda p, s, mu: cdiv.f_divergence(cdiv.vd(), p, s),
         contractive=True, transpose_invariant=True, plateau=1.0, maximum=1.0,
     ),
     "qjs": QuantifierSpec(
         lambda r, s, mu: quantum_js(r, s),
+        lambda r, s, mu: _checked(_mixture_rows(r, s, *cdiv.js_weights())),
         lambda p, s, mu: cdiv.f_divergence(cdiv.js(), p, s),
         contractive=True, jointly_convex=True, base_dependent=True,
         plateau=math.log(2.0), maximum=math.log(2.0),
     ),
     "bures": QuantifierSpec(
-        lambda r, s, mu: bures_distance(r, s), _root_infidelity,
+        lambda r, s, mu: bures_distance(r, s),
+        lambda r, s, mu: _checked(_bures(_psd_roots(s), _psd_roots(r))),
+        _root_infidelity,
         contractive=True, plateau=1.0, maximum=1.0,
     ),
     "hellinger": QuantifierSpec(
-        lambda r, s, mu: hellinger_distance(r, s), _root_infidelity,
+        lambda r, s, mu: hellinger_distance(r, s),
+        lambda r, s, mu: _checked(_hellinger(_psd_roots(s), _psd_roots(r))),
+        _root_infidelity,
         contractive=True, plateau=1.0, maximum=1.0,
     ),
     "hs_dist": QuantifierSpec(
         lambda r, s, mu: hs_distance(r, s),
+        lambda r, s, mu: _checked(_hs_distances(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.euclidean_distance(p, s) / math.sqrt(2.0)),
         jointly_convex=True, maximum=1.0,
         assignment_factor=lambda tau: math.sqrt(purity(tau)),
@@ -308,6 +418,7 @@ QUANTIFIERS = {
     ),
     "d_inf": QuantifierSpec(
         lambda r, s, mu: d_infinity(r, s),
+        lambda r, s, mu: _checked(_d_infs(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.chebyshev_distance(p, s)),
         jointly_convex=True, maximum=1.0,
         assignment_factor=lambda tau: float(np.max(tau.eigenvalues)),
@@ -356,3 +467,10 @@ def quantifier(tag: str, mu: Optional[float] = None) -> QuantifierId:
 def evaluate(q: QuantifierId, rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """Uniform entry point used by the suites and the CLI."""
     return q.spec.quantum(rho, sigma, q.mu)
+
+
+def evaluate_rows(q: QuantifierId, firsts: DensityStack, seconds: DensityStack) -> np.ndarray:
+    """``evaluate(q, firsts.state(i), seconds.state(i)).value`` for every
+    row i, bit for bit, in one stacked evaluation."""
+    _check_dims(firsts, seconds)
+    return q.spec.rows(firsts, seconds, q.mu)

@@ -15,7 +15,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import matcore
-from .errors import BadRank, DimensionMismatch, InvalidState, NotHermitian, NotPSD, TraceNotOne
+from .errors import (
+    BadRank,
+    DimensionMismatch,
+    DomainError,
+    InvalidState,
+    NotHermitian,
+    NotPSD,
+    TraceNotOne,
+)
 from .matcore import SpectralDecomposition, dagger
 from .sampling import derive_rng, ginibre, haar_unitary, random_unit_vector
 
@@ -59,6 +67,65 @@ class StatePair(NamedTuple):
         return self.first.dim
 
 
+class DensityStack(NamedTuple):
+    """Validated states as stacked arrays: the fields of ``DensityMatrix``,
+    each with a leading row axis, so code reading ``matrix``,
+    ``eigenvalues`` and ``eigenvectors`` takes a state or a stack."""
+
+    matrix: np.ndarray  # (N, d, d) Hermitian parts
+    eigenvalues: np.ndarray  # (N, d), descending
+    eigenvectors: np.ndarray  # (N, d, d), phase-fixed columns
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+    def state(self, i: int) -> DensityMatrix:
+        dec = SpectralDecomposition(self.eigenvalues[i], self.eigenvectors[i])
+        return DensityMatrix(self.matrix[i], dec, self.dim)
+
+
+def validate_stack(ms) -> DensityStack:
+    """Validate each matrix of a stack ``(N, n, n)`` as a quantum state.
+
+    Each matrix gets the checks of ``validate_density`` in the same order,
+    and the first matrix that fails one raises the exception, with the
+    message, that ``validate_density`` raises on that matrix alone.
+    """
+    ms = np.asarray(ms, dtype=np.complex128)
+    if ms.ndim != 3:
+        raise DimensionMismatch(f"expected a stack of matrices, got ndim={ms.ndim}")
+    # The rows before the first that fails a check made before the
+    # eigensolve, and the error that row raises once those rows pass.
+    checked, error = ms, None
+    if not np.isfinite(ms).all():
+        checked = ms[: np.isfinite(ms).all(axis=(1, 2)).argmin()]
+        error = DomainError("matrix contains NaN or Inf entries")
+    if ms.shape[1] != ms.shape[2]:
+        if error is not None and not len(checked):
+            raise error
+        raise DimensionMismatch(f"matrix is {ms.shape[1:]}, expected square")
+    other = matcore.non_hermitian_rows(checked)
+    if other:
+        checked = checked[: other[0]]
+        error = NotHermitian("density matrix must be Hermitian within 1e-10")
+    if ms.shape[1] == 0:
+        raise DimensionMismatch("a density matrix needs dim >= 1, got a 0x0 matrix")
+    h, lam, vectors = matcore.hermitized_eig(checked)
+    # Sorted descending, so the last eigenvalue is the smallest.
+    smallest = lam[:, -1].tolist()
+    for low, tr in zip(smallest, h.trace(axis1=1, axis2=2).real.tolist()):
+        if low < -matcore.EIGENVALUE_CLIP:
+            raise NotPSD(f"eigenvalue {low:.3e} below -1e-10")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise TraceNotOne(f"trace is {tr!r}, expected 1 within 1e-10")
+    if error is not None:
+        raise error
+    if min(smallest, default=0.0) < 0.0:
+        lam = np.where(lam < 0.0, 0.0, lam)
+    return DensityStack(h, lam, vectors)
+
+
 def validate_density(m) -> DensityMatrix:
     """Validate and wrap a matrix as a quantum state.
 
@@ -66,23 +133,13 @@ def validate_density(m) -> DensityMatrix:
     (DimensionMismatch), Hermiticity (NotHermitian), at least one row
     (DimensionMismatch), positivity down to -1e-10 with smaller negatives
     clipped to 0 (NotPSD), unit trace within 1e-10 (TraceNotOne). The
-    stored matrix is the Hermitian part that the eigensolve used.
+    stored matrix is the Hermitian part that the eigensolve used. It is
+    the one-row case of ``validate_stack``.
     """
-    try:
-        hermitized, dec = matcore.hermitized_eig(m)
-    except NotHermitian:
-        raise NotHermitian("density matrix must be Hermitian within 1e-10") from None
-    lam = dec.eigenvalues  # sorted descending, so lam[-1] is the smallest
-    if lam.size == 0:
-        raise DimensionMismatch("a density matrix needs dim >= 1, got a 0x0 matrix")
-    if lam[-1] < -matcore.EIGENVALUE_CLIP:
-        raise NotPSD(f"eigenvalue {lam[-1]:.3e} below -1e-10")
-    tr = float(hermitized.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"trace is {tr!r}, expected 1 within 1e-10")
-    if lam[-1] < 0.0:
-        dec = SpectralDecomposition(np.where(lam < 0.0, 0.0, lam), dec.eigenvectors)
-    return DensityMatrix(hermitized, dec, hermitized.shape[0])
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return validate_stack(m[None]).state(0)
 
 
 def pure_state(vector) -> DensityMatrix:
@@ -187,12 +244,22 @@ def state_from_dict(d: dict) -> DensityMatrix:
     return validate_density(matcore.matrix_from_dict(d))
 
 
+# The fields each generator kind reads.
+_SPEC_FIELDS = {
+    "haar_pure": ("dim", "seed"),
+    "hs_mixed": ("dim", "seed"),
+    "rank_limited": ("dim", "seed", "rank"),
+    "max_mixed": ("dim",),
+}
+
+
 def state_from_spec(spec: str) -> DensityMatrix:
     """Parse generator specs like ``haar_pure:dim=4:seed=7``.
 
     Recognized kinds: haar_pure, hs_mixed, rank_limited (needs rank=, dim=,
     seed=) and max_mixed (dim= only). An unknown field, a field without an
-    integer value or a missing dim= raises InvalidState naming the field.
+    integer value, a missing dim= or a field the kind does not read (such
+    as rank= on haar_pure) raises InvalidState naming the field.
     """
     parts = spec.split(":")
     kind, fields = parts[0], {}
@@ -206,6 +273,9 @@ def state_from_spec(spec: str) -> DensityMatrix:
             raise InvalidState(f"state spec {spec!r}: field {key!r} needs an integer") from None
     if "dim" not in fields:
         raise InvalidState(f"state spec {spec!r}: field 'dim' is missing")
+    for key in fields:
+        if key not in _SPEC_FIELDS.get(kind, fields):
+            raise InvalidState(f"state spec {spec!r}: kind {kind!r} does not read field {key!r}")
     if kind == "max_mixed":
         return maximally_mixed(fields["dim"])
     return sample_state(

@@ -3,7 +3,7 @@ one of them must still exist, or the traced pass of the benchmark breaks.
 Its trial count reads what the suites return, so a suite run over several
 quantifiers must still be counted trial by trial. The benchmark's gate
 compares default-seed reports with its committed reference, so the low-dim
-workload is run against that reference here too."""
+and optimizer workloads are run against that reference here too."""
 import importlib
 import importlib.util
 import sys
@@ -56,9 +56,9 @@ def test_tracer_counts_every_trial_of_a_multi_quantifier_suite(suite, capsys):
     assert tracer.layer_metrics(0)["sampling.derive_rng.calls"] == trials
 
 
-def test_lowdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
-    """Every suites_lowdim call at the default seed passes the benchmark's gate,
-    its reference comparison at 1e-12 included."""
+def _gate_outcomes(workload: str, tmp_path) -> list:
+    """The benchmark gate's verdict on every call of ``workload`` at the
+    default seed, its reference comparison at 1e-12 included."""
     from divergelab import cli
 
     # gate imports workloads by name from its own directory; both names and
@@ -70,10 +70,10 @@ def test_lowdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
     try:
         gate = importlib.import_module("gate")
         workloads = importlib.import_module("workloads")
-        reference = gate.load_reference("suites_lowdim")
+        reference = gate.load_reference(workload)
         assert reference is not None
         outcomes = []
-        for i, call in enumerate(workloads.build("suites_lowdim", workloads.DEFAULT_SEED)):
+        for i, call in enumerate(workloads.build(workload, workloads.DEFAULT_SEED)):
             out = tmp_path / f"call{i}.json"
             code = cli.main(list(call.argv) + ["--out", str(out)])
             outcomes.append(gate.check_call(call, code, None, out.read_text(), reference))
@@ -82,6 +82,24 @@ def test_lowdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
         for name in names:
             sys.modules.pop(name, None)
         sys.modules.update(saved_modules)
+    return outcomes
+
+
+def test_lowdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
+    """Every suites_lowdim call at the default seed passes the benchmark's gate,
+    its reference comparison at 1e-12 included."""
+    outcomes = _gate_outcomes("suites_lowdim", tmp_path)
     capsys.readouterr()
     assert {o.call.argv[1]: o.problems for o in outcomes if o.problems} == {}
     assert sum(o.attempted for o in outcomes) == 44
+
+
+def test_optimizer_workload_matches_the_benchmark_reference(tmp_path, capsys):
+    """Every optimizer search at the default seed passes the benchmark's gate:
+    the reference holds each search's value, evaluation count and restarts,
+    so this pins the search's iterates bit for bit."""
+    outcomes = _gate_outcomes("optimizer", tmp_path)
+    capsys.readouterr()
+    assert len(outcomes) == 4
+    assert [o.problems for o in outcomes if o.problems] == []
+    assert sum(o.attempted for o in outcomes) == 7

@@ -52,6 +52,27 @@ class TestEval:
         assert code == 0
         assert float(out) == pytest.approx(1.0, abs=1e-10)
 
+    def test_mu_defaults_to_0_3(self, capsys):
+        args = ["eval", "holevo_skew", "hs_mixed:dim=2:seed=1", "pplus"]
+        code, default, _ = run(args, capsys)
+        _, given, _ = run(args + ["--mu", "0.3"], capsys)
+        _, other, _ = run(args + ["--mu", "0.4"], capsys)
+        assert code == 0
+        assert default == given != other
+
+    def test_mu_for_a_quantifier_without_mu_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "trace_dist", "pplus", "pminus", "--mu", "7"])
+        assert exc.value.code == 2
+        assert "argument --mu: trace_dist takes no mu" in capsys.readouterr().err
+
+    def test_spec_field_the_kind_ignores_is_usage_error(self, capsys):
+        code, _, err = run(
+            ["eval", "trace_dist", "haar_pure:dim=3:rank=2", "haar_pure:dim=3:rank=1"], capsys
+        )
+        assert code == 2
+        assert "does not read field 'rank'" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(["eval", "trace_dist", "no_such_state.json", "pminus"], capsys)
         assert code == 2

@@ -509,3 +509,30 @@ def test_result_clipping():
         QuantifierResult.of(-1e-6)
     with pytest.raises(NumericalConsistencyError):
         QuantifierResult.of(float("nan"))
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_rows_are_bitwise_one_pair_evaluations(self, dim):
+        # Full-rank, rank-limited and diagonal rank-deficient states, so the
+        # relative entropy groups rows by several rank pairs and meets
+        # supports that are not contained (+inf).
+        rng = np.random.default_rng(dim)
+        ms = []
+        for i in range(16):
+            if i % 4 == 3:
+                m = np.diag(rng.random(dim) * (rng.random(dim) < 0.5)).astype(complex)
+                m[0, 0] += 1.0
+            else:
+                shape = (dim, 1 + i % dim)
+                g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                m = g @ g.conj().T
+            ms.append(m / np.trace(m).real)
+        stack = states.validate_stack(np.array(ms))
+        firsts = states.DensityStack(*(x[:8] for x in stack))
+        seconds = states.DensityStack(*(x[8:] for x in stack))
+        for q in all_quantifiers():
+            rows = qdiv.evaluate_rows(q, firsts, seconds)
+            for i in range(8):
+                want = evaluate(q, firsts.state(i), seconds.state(i)).value
+                assert float(rows[i]).hex() == want.hex(), (q.tag, i)

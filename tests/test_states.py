@@ -83,6 +83,59 @@ class TestValidateDensity:
         assert rho.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
 
+def _valid(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+class TestValidateStack:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 64])
+    def test_rows_are_bitwise_validate_density(self, dim, rng):
+        ms = np.array([_valid(dim, rng) for _ in range(5)] + [np.diag([1.0] + [0.0] * (dim - 1))])
+        stack = states.validate_stack(ms)
+        for i, m in enumerate(ms):
+            got, want = stack.state(i), validate_density(m)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, 0.3], [0.0, 0.5]]),  # not Hermitian
+            np.diag([1.2, -0.2]),  # not PSD
+            np.diag([0.6, 0.5]),  # off trace
+            np.diag([1.0 + 5e-11, -5e-11]),  # clipped, valid
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),  # not finite
+        ],
+        ids=["not_hermitian", "not_psd", "off_trace", "clipped", "not_finite"],
+    )
+    def test_third_matrix_fails_as_it_fails_alone(self, bad, rng):
+        ms = np.array([_valid(2, rng), _valid(2, rng), bad, _valid(2, rng)])
+        try:
+            want = validate_density(bad)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                states.validate_stack(ms)
+            assert str(got.value) == str(exc)
+        else:
+            assert states.validate_stack(ms).state(2).eigenvalues.tobytes() == (
+                want.eigenvalues.tobytes()
+            )
+
+    def test_first_failing_matrix_raises(self, rng):
+        # The eigenvalue checks of an earlier matrix come before the finiteness
+        # and Hermiticity checks of a later one, as one at a time.
+        not_psd, not_finite = np.diag([1.2, -0.2]), np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotPSD):
+            states.validate_stack(np.array([_valid(2, rng), not_psd, not_finite]))
+        with pytest.raises(DomainError):
+            states.validate_stack(np.array([_valid(2, rng), not_finite, not_psd]))
+        with pytest.raises(NotHermitian):
+            states.validate_stack(np.array([np.array([[0.5, 0.3], [0.0, 0.5]]), not_finite]))
+
+
 class TestPurity:
     def test_pure(self):
         assert abs(purity(pure_state([1, 1j])) - 1.0) < 1e-12
@@ -201,6 +254,10 @@ def test_state_from_spec():
         ("hs_mixed:dim=3:seed=", "'seed' needs an integer"),
         ("rank_limited:dim=3:rank=1.5", "'rank' needs an integer"),
         ("haar_pure:dims=3", "unknown field 'dims'"),
+        ("haar_pure:dim=3:rank=2", "does not read field 'rank'"),
+        ("hs_mixed:dim=3:rank=2", "does not read field 'rank'"),
+        ("max_mixed:dim=3:rank=1", "does not read field 'rank'"),
+        ("max_mixed:dim=3:seed=4", "does not read field 'seed'"),
     ],
 )
 def test_malformed_spec_names_the_field(spec, field):
