@@ -27,7 +27,7 @@ from .errors import (
 )
 from .matcore import dagger
 from .sampling import derive_rng, haar_unitary, haar_unitary_batch
-from .states import DensityMatrix, pure_state, validate_density
+from .states import DensityMatrix, DensityStack, pure_state, validate_stack
 
 UNITARY_TOL = 1e-10
 
@@ -113,9 +113,14 @@ def apply(ch: PositiveMap, rho: DensityMatrix) -> DensityMatrix:
     """Action on a state; the output is re-validated as a density matrix."""
     if rho.dim != ch.dim_in:
         raise DimensionMismatch(f"state dim {rho.dim}, channel expects {ch.dim_in}")
-    out = apply_to_matrix(ch, rho.matrix)
+    return validate_outputs(apply_to_matrix(ch, rho.matrix)[None]).state(0)
+
+
+def validate_outputs(ms) -> DensityStack:
+    """``validate_stack`` for a stack of channel outputs: an output that
+    fails validation raises OutputInvalid with the reason."""
     try:
-        return validate_density(out)
+        return validate_stack(ms)
     except DivergelabError as exc:
         raise OutputInvalid(f"channel output failed validation: {exc}") from exc
 

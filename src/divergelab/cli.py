@@ -138,6 +138,9 @@ def _reports(reports: list[PropertyReport]) -> list[tuple[str, bool, dict]]:
     return [(r.summary_line(), r.passed, r.to_dict()) for r in reports]
 
 
+# The suites that draw their dims from a fixed range and ignore --dim.
+_FIXED_DIMS = {"joint-convexity": "2-4", "stinespring": "2-4"}
+
 # Per suite: the quantifier tags it runs when --q is not given (None for the
 # suites that take no quantifier), and its runner. A runner takes the
 # quantifier list, the config and the keyword arguments of the harness call,
@@ -151,7 +154,9 @@ _SUITES = {
     ),
     "invariance": (
         qdiv.ALL_TAGS,
-        lambda qs, cfg, kw: _reports(harness.invariance_suite(qs, **kw).all_reports()),
+        lambda qs, cfg, kw: _reports(
+            harness.invariance_suite(qs, dim_range=cfg.dims, **kw).all_reports()
+        ),
     ),
     "optimal-pair": (
         ("trace_dist",),
@@ -167,8 +172,14 @@ _SUITES = {
         qdiv.JOINTLY_CONVEX,
         lambda qs, cfg, kw: _reports(harness.joint_convexity_suite(qs, **kw).all_reports()),
     ),
-    "kadison": (None, lambda qs, cfg, kw: _reports([harness.kadison_bound_check(**kw)])),
-    "purity-bound": (None, lambda qs, cfg, kw: _reports([harness.purity_bound_check(**kw)])),
+    "kadison": (
+        None,
+        lambda qs, cfg, kw: _reports([harness.kadison_bound_check(dim_range=cfg.dims, **kw)]),
+    ),
+    "purity-bound": (
+        None,
+        lambda qs, cfg, kw: _reports([harness.purity_bound_check(dim_range=cfg.dims, **kw)]),
+    ),
     "stinespring": (
         ("trace_dist",),
         lambda qs, cfg, kw: _reports(harness.stinespring_dpi_equivalence(qs, **kw).all_reports()),
@@ -190,6 +201,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
         out=args.out,
         format=args.format,
     )
+    if args.dim is not None and args.suite in _FIXED_DIMS:
+        print(
+            f"note: suite {args.suite} draws its dims from {_FIXED_DIMS[args.suite]} "
+            "and ignores --dim",
+            file=sys.stderr,
+        )
     default_tags, run = _SUITES[args.suite]
     quantifiers = None
     if default_tags is not None:
@@ -290,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_dims,
         default=None,
         help="dimension or range, e.g. 4 or 2-6 (default 2-6); optimal-pair takes one "
-        "dimension (default 2)",
+        "dimension (default 2); joint-convexity and stinespring draw from 2-4 and "
+        "ignore it",
     )
     p_suite.add_argument("--trials", type=_trial_count, default=None)
     p_suite.add_argument("--seed", type=_seed, default=None)

@@ -8,7 +8,18 @@ order. A suite that takes a quantifier takes a sequence of them too: each
 trial is drawn once, its channels built and applied once, and every
 quantifier is evaluated on it, with the same reports as one call per
 quantifier. Margins are signed with negative meaning violation; a trial counts
-as a violation when its margin falls below -tolerance.
+as a violation when its margin falls below -tolerance; where a margin is a
+difference of two equal infinities, it is 0.
+
+Every suite runs on stacks. A trial draws its dim, channels and state
+matrices from its stream, unvalidated. Consecutive trials form a block,
+which closes once its states hold ``BLOCK_ENTRIES`` matrix entries. The
+block then goes stage by stage (the drawn pairs, their images under each
+channel, the mixtures): each stage's states are grouped by dim, each group
+is validated in one ``validate_stack`` call, and each quantifier is
+evaluated in one ``qdiv.evaluate_rows`` call per group, which gives every
+row the bits of a one-pair evaluation. The values go back into per-trial
+rows, and one function turns the rows into reports.
 """
 from __future__ import annotations
 
@@ -16,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,11 +36,13 @@ from .channels import KrausChannel, apply, apply_to_matrix
 from .qdiv import QuantifierId
 from .sampling import derive_rng, haar_unitary, random_unit_vector
 from .states import (
+    DensityMatrix,
     StatePair,
-    _sample_state_rng,
+    _draw_orthogonal_pair,
+    _draw_state,
     purity,
-    random_orthogonal_pair,
     validate_density,
+    validate_stack,
 )
 
 TOL_CLOSED_FORM = 1e-10
@@ -224,66 +237,175 @@ def _suite_reports(
     return entries[0] if isinstance(q, QuantifierId) else SuiteReports(entries)
 
 
-def _image(ch, pair: StatePair) -> StatePair:
-    return StatePair(apply(ch, pair.first), apply(ch, pair.second))
+# Trials go through the stacked stages in blocks of consecutive trials; a
+# block closes once the states its trials drew hold this many matrix
+# entries: about fifty trials at d = 2-6, one at d >= 32. Blocks bound
+# memory, not results: any budget gives the same reports. On a nine-
+# quantifier dpi run at d = 32-64, 2**12 (two trials per block below
+# d = 46) raised the peak RSS by 1.3 MB and 2**11 left it flat.
+BLOCK_ENTRIES = 2**11
 
 
-def _value(q: QuantifierId, pair: StatePair) -> float:
-    return qdiv.evaluate(q, pair.first, pair.second).value
+def _blocks(trials: int, seed: int, draw):
+    """Lists of ``(t, trial)``: each trial drawn by ``draw`` from its own
+    stream ``derive_rng(seed, t)``, consecutive trials gathered into blocks
+    of ``BLOCK_ENTRIES``. ``draw`` returns the entry count of the states it
+    drew, and the trial. The next block is drawn only once a block is done."""
+    block, used = [], 0
+    for t in range(trials):
+        entries, trial = draw(derive_rng(seed, t))
+        block.append((t, trial))
+        used += entries
+        if used >= BLOCK_ENTRIES or t == trials - 1:
+            yield block
+            block, used = [], 0
 
 
-def _random_pair(dim: int, rng: np.random.Generator) -> StatePair:
-    return StatePair(
-        _sample_state_rng(dim, "hs_mixed", rng), _sample_state_rng(dim, "hs_mixed", rng)
-    )
+def _by_shape(ms: list) -> list[list[int]]:
+    """The indices of the matrices in ``ms``, grouped by shape (None skipped)."""
+    groups: dict = {}
+    for i, m in enumerate(ms):
+        if m is not None:
+            groups.setdefault(m.shape, []).append(i)
+    return list(groups.values())
 
 
-def _orthogonal_pair(dim: int, rng: np.random.Generator) -> tuple[list[int], StatePair]:
+def _states(ms: list) -> list:
+    """Matrices validated in one stack per shape, as states (None stays None)."""
+    out = [None] * len(ms)
+    for idx in _by_shape(ms):
+        stack = validate_stack(np.stack([ms[i] for i in idx]))
+        for row, i in enumerate(idx):
+            out[i] = stack.state(row)
+    return out
+
+
+class _Stage:
+    """One stage of a block: a pair of matrices per entry (the drawn pairs,
+    their images under a channel, the mixtures), validated as one stack of
+    first and one of second states per dimension. Every quantifier is
+    evaluated in one ``evaluate_rows`` call per dimension, and the
+    quantifiers share what they compute alike on one pair of stacks."""
+
+    def __init__(self, pairs: list, validate=validate_stack):
+        self.groups, self.where = [], [None] * len(pairs)
+        for idx in _by_shape([a for a, _ in pairs]):
+            firsts, seconds = (validate(np.stack([pairs[i][k] for i in idx])) for k in (0, 1))
+            self.groups.append((idx, firsts, seconds, {}))
+            for row, i in enumerate(idx):
+                self.where[i] = (firsts, seconds, row)
+
+    def matrices(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        firsts, seconds, row = self.where[i]
+        return firsts.matrix[row], seconds.matrix[row]
+
+    def pair(self, i: int) -> StatePair:
+        firsts, seconds, row = self.where[i]
+        return StatePair(firsts.state(row), seconds.state(row))
+
+    def values(self, q: QuantifierId) -> list[float]:
+        out = [0.0] * len(self.where)
+        for idx, firsts, seconds, shared in self.groups:
+            for i, v in zip(idx, qdiv.evaluate_rows(q, firsts, seconds, shared).tolist()):
+                out[i] = v
+        return out
+
+
+def _images(chs: list, stage: _Stage) -> _Stage:
+    """The stage of each entry's pair under its channel; an image that is not
+    a state raises OutputInvalid, as ``channels.apply`` does."""
+    pairs = [tuple(apply_to_matrix(ch, m) for m in stage.matrices(i)) for i, ch in enumerate(chs)]
+    return _Stage(pairs, channels.validate_outputs)
+
+
+def _minus(a: float, b: float) -> float:
+    """a - b, except that two equal infinities differ by 0 rather than nan."""
+    return 0.0 if a == b and math.isinf(a) else a - b
+
+
+def _random_pair(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    return _draw_state(dim, "hs_mixed", rng), _draw_state(dim, "hs_mixed", rng)
+
+
+def _orthogonal_pair(dim: int, rng: np.random.Generator) -> tuple[list[int], tuple]:
     """Random ranks and a random orthogonal pair of those ranks."""
     rank1 = int(rng.integers(1, dim))
     rank2 = int(rng.integers(1, dim - rank1 + 1))
-    pair = random_orthogonal_pair(dim, rank1, rank2, seed=int(rng.integers(0, 2**31)))
+    pair = _draw_orthogonal_pair(dim, rank1, rank2, seed=int(rng.integers(0, 2**31)))
     return [rank1, rank2], pair
 
 
-def _trial_channel(dim: int, rng: np.random.Generator) -> tuple[str, KrausChannel]:
+class _ChannelDraw(NamedTuple):
+    """A drawn channel: its label, the matrix of the ancilla state it is
+    built with (None for most), and the function that builds it from that
+    state once validated. A block keeps its draws while it is evaluated and
+    its built channels only until they are applied, so a draw holds what
+    is smaller: a measure-and-prepare map at d = 64 is 64 Kraus operators,
+    its draw one unitary."""
+
+    label: str
+    tau: Optional[np.ndarray]
+    build: Callable[[Optional[DensityMatrix]], KrausChannel]
+
+
+def _built(draws: list) -> list[KrausChannel]:
+    """The drawn channels, their ancilla states validated together."""
+    return [d.build(tau) for d, tau in zip(draws, _states([d.tau for d in draws]))]
+
+
+def _trial_channel(dim: int, rng: np.random.Generator) -> _ChannelDraw:
     """Channel mix for contraction trials: 40% random dilation, 20% unitary,
     20% assignment-then-partial-trace composition with a mixed environment,
     20% measure-and-prepare."""
     draw = rng.random()
     env = int(rng.integers(2, 5))
     if draw < 0.4:
-        return "stinespring", channels._random_cptp_rng(dim, env, rng)
+        ch = channels._random_cptp_rng(dim, env, rng)
+        return _ChannelDraw("stinespring", None, lambda tau: ch)
     if draw < 0.6:
-        return "unitary", channels.unitary_channel(haar_unitary(dim, rng))
+        u = haar_unitary(dim, rng)
+        return _ChannelDraw("unitary", None, lambda tau: channels.unitary_channel(u))
     if draw < 0.8:
-        tau = _sample_state_rng(env, "hs_mixed", rng)
-        composite = channels.compose(
-            channels.partial_trace_channel(dim, env),
-            channels.compose(
-                channels.unitary_channel(haar_unitary(dim * env, rng)),
-                channels.assignment_channel(tau, dim),
+        tau_matrix = _draw_state(env, "hs_mixed", rng)
+        u = haar_unitary(dim * env, rng)
+        return _ChannelDraw(
+            "assignment_ptrace",
+            tau_matrix,
+            lambda tau: channels.compose(
+                channels.partial_trace_channel(dim, env),
+                channels.compose(
+                    channels.unitary_channel(u), channels.assignment_channel(tau, dim)
+                ),
             ),
         )
-        return "assignment_ptrace", composite
     u = haar_unitary(dim, rng)
     dst = (random_unit_vector(dim, rng), random_unit_vector(dim, rng))
-    return "measure_prepare", channels.orthogonal_to_target_channel((u[:, 0], u[:, 1]), dst)
+    return _ChannelDraw(
+        "measure_prepare",
+        None,
+        lambda tau: channels.orthogonal_to_target_channel((u[:, 0], u[:, 1]), dst),
+    )
+
+
+def _dim(rng: np.random.Generator, dim_range: tuple[int, int]) -> int:
+    return int(rng.integers(dim_range[0], dim_range[1] + 1))
 
 
 def _contraction_channel(
     rng: np.random.Generator, partial_trace: bool, dim_range: tuple[int, int]
-) -> tuple[str, int, Optional[int], KrausChannel]:
-    """Label, input dim, traced-out dim (None unless a partial trace) and
-    channel of one contraction trial: a partial trace over a random
-    factorization, or a ``_trial_channel`` at a dim drawn from dim_range."""
+) -> tuple[int, Optional[int], _ChannelDraw]:
+    """Input dim, traced-out dim (None unless a partial trace) and channel of
+    one contraction trial: a partial trace over a random factorization, or a
+    ``_trial_channel`` at a dim drawn from dim_range."""
     if partial_trace:
         d_s = int(rng.integers(2, 4))
         d_e = int(rng.integers(2, 5))
-        return "partial_trace", d_s * d_e, d_e, channels.partial_trace_channel(d_s, d_e)
-    dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
-    label, ch = _trial_channel(dim, rng)
-    return label, dim, None, ch
+        channel = _ChannelDraw(
+            "partial_trace", None, lambda tau: channels.partial_trace_channel(d_s, d_e)
+        )
+        return d_s * d_e, d_e, channel
+    dim = _dim(rng, dim_range)
+    return dim, None, _trial_channel(dim, rng)
 
 
 def dpi_suite(
@@ -302,60 +424,78 @@ def dpi_suite(
     dimension for hs_dist, the traced dimension itself for d_inf).
     """
     qs = _quantifier_list(q, "dpi")
+    partial_trace = channel_kind == "partial_trace"
+
+    def draw(rng):
+        dim, d_e, channel = _contraction_channel(rng, partial_trace, dim_range)
+        return 2 * dim * dim, (dim, d_e, channel, _random_pair(dim, rng))
+
     rows, traced = [], []
-    for t in range(trials):
-        rng = derive_rng(seed, t)
-        partial_trace = channel_kind == "partial_trace"
-        label, dim, d_e, ch = _contraction_channel(rng, partial_trace, dim_range)
-        traced.append(d_e)
-        pair = _random_pair(dim, rng)
-        image = _image(ch, pair)
-        digest = _digest(pair.first.matrix, pair.second.matrix)
-        row = []
-        for qi in qs:
-            before = _value(qi, pair)
-            after = _value(qi, image)
-            margin = before - after
-            detail = {"trial": t, "digest": digest, "channel": label, "dim": dim}
-            row.append((margin, {**detail, "before": before, "after": after, "margin": margin}))
-        rows.append(row)
+    for block in _blocks(trials, seed, draw):
+        pairs = _Stage([pair for _, (*_, pair) in block])
+        images = _images(_built([channel for _, (_, _, channel, _) in block]), pairs)
+        before = [pairs.values(qi) for qi in qs]
+        after = [images.values(qi) for qi in qs]
+        for i, (t, (dim, d_e, channel, _)) in enumerate(block):
+            traced.append(d_e)
+            digest = _digest(*pairs.matrices(i))
+            detail = {"trial": t, "digest": digest, "channel": channel.label, "dim": dim}
+            row = []
+            for b, a in zip(before, after):
+                margin = _minus(b[i], a[i])
+                row.append((margin, {**detail, "before": b[i], "after": a[i], "margin": margin}))
+            rows.append(row)
     return _suite_reports("dpi", q, qs, rows, seed, {"channel_kind": channel_kind}, traced)
 
 
 def invariance_suite(
-    q: Quantifiers, trials: int = 100, seed: int = 0
+    q: Quantifiers, trials: int = 100, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
 ) -> Union[InvarianceReports, SuiteReports]:
     """Unitary invariance for every quantifier; assignment behavior (exact
     invariance for the contractive set, the exact scaling factor for hs_dist
     and d_inf); transposition invariance where it is expected to hold."""
     qs = _quantifier_list(q, "invariance")
     run_transpose = any(qi.spec.transpose_invariant for qi in qs)
-    rows = []
-    for t in range(trials):
-        rng = derive_rng(seed, t)
-        dim = int(rng.integers(2, 7))
+
+    def draw(rng):
+        dim = _dim(rng, dim_range)
         pair = _random_pair(dim, rng)
-        rotated = _image(channels.unitary_channel(haar_unitary(dim, rng)), pair)
+        unitary = channels.unitary_channel(haar_unitary(dim, rng))
         env = int(rng.integers(2, 4))
-        tau = _sample_state_rng(env, "hs_mixed", rng)
-        assigned = _image(channels.assignment_channel(tau, dim), pair)
-        transposed = _image(channels.transpose_map(dim), pair) if run_transpose else None
-        row = []
-        for qi in qs:
-            before = _value(qi, pair)
-            after_u = _value(qi, rotated)
-            factor = qi.spec.assignment_factor(tau)
-            after_a = _value(qi, assigned)
-            detail = {"trial": t, "dim": dim, "before": before}
-            legs = [
-                (-abs(after_u - before), {**detail, "after": after_u}),
-                (-abs(after_a - factor * before), {**detail, "factor": factor, "after": after_a}),
-            ]
-            if qi.spec.transpose_invariant:
-                after_t = _value(qi, transposed)
-                legs.append((-abs(after_t - before), {**detail, "after": after_t}))
-            row.append(legs)
-        rows.append(row)
+        return 2 * dim * dim, (dim, pair, unitary, _draw_state(env, "hs_mixed", rng))
+
+    rows = []
+    for block in _blocks(trials, seed, draw):
+        dims = [dim for _, (dim, *_) in block]
+        pairs = _Stage([pair for _, (_, pair, _, _) in block])
+        taus = _states([tau for _, (*_, tau) in block])
+        stages = [
+            pairs,
+            _images([unitary for _, (_, _, unitary, _) in block], pairs),
+            _images([channels.assignment_channel(*a) for a in zip(taus, dims)], pairs),
+        ]
+        if run_transpose:
+            stages.append(_images([channels.transpose_map(dim) for dim in dims], pairs))
+        # Per quantifier: the values before, then after each of its legs' maps.
+        values = [[st.values(qi) for st in stages[: 3 + qi.spec.transpose_invariant]] for qi in qs]
+        for i, (t, _) in enumerate(block):
+            row = []
+            for qi, (before, after_u, after_a, *after_t) in zip(qs, values):
+                before, after_u, after_a = before[i], after_u[i], after_a[i]
+                factor = qi.spec.assignment_factor(taus[i])
+                detail = {"trial": t, "dim": dims[i], "before": before}
+                legs = [
+                    (-abs(_minus(after_u, before)), {**detail, "after": after_u}),
+                    (
+                        -abs(_minus(after_a, factor * before)),
+                        {**detail, "factor": factor, "after": after_a},
+                    ),
+                ]
+                if after_t:
+                    after = after_t[0][i]
+                    legs.append((-abs(_minus(after, before)), {**detail, "after": after}))
+                row.append(legs)
+            rows.append(row)
     return _suite_reports("invariance", q, qs, rows, seed)
 
 
@@ -365,17 +505,21 @@ def orthogonal_plateau_check(
     """Evaluate on random orthogonal pairs of assorted ranks: the bounded
     contractive quantifiers must sit at one common maximum value."""
     qs = _quantifier_list(q, "plateau")
+
+    def draw(rng):
+        dim = _dim(rng, dim_range)
+        return 2 * dim * dim, (dim, *_orthogonal_pair(dim, rng))
+
     rows = []
-    for t in range(trials):
-        rng = derive_rng(seed, t)
-        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
-        ranks, pair = _orthogonal_pair(dim, rng)
-        row = []
-        for qi in qs:
-            value = _value(qi, pair)
-            detail = {"trial": t, "dim": dim, "ranks": list(ranks), "value": value}
-            row.append((-abs(value - qi.spec.plateau), detail))
-        rows.append(row)
+    for block in _blocks(trials, seed, draw):
+        pairs = _Stage([pair for _, (_, _, pair) in block])
+        values = [pairs.values(qi) for qi in qs]
+        for i, (t, (dim, ranks, _)) in enumerate(block):
+            row = []
+            for qi, value in zip(qs, values):
+                detail = {"trial": t, "dim": dim, "ranks": list(ranks), "value": value[i]}
+                row.append((-abs(value[i] - qi.spec.plateau), detail))
+            rows.append(row)
     return _suite_reports("plateau", q, qs, rows, seed)
 
 
@@ -384,73 +528,106 @@ def joint_convexity_suite(
 ) -> Union[PropertyReport, SuiteReports]:
     """S(sum mu_k rho_k, sum mu_k sigma_k) <= sum mu_k S(rho_k, sigma_k)."""
     qs = _quantifier_list(q, "joint_convexity")
-    rows = []
-    for t in range(trials):
-        rng = derive_rng(seed, t)
+
+    def draw(rng):
         dim = int(rng.integers(2, 5))
         count = int(rng.integers(2, 5))
         weights = rng.random(count) + 1e-3
         weights /= weights.sum()
         pairs = [_random_pair(dim, rng) for _ in range(count)]
-        mixed = StatePair(
-            validate_density(sum(w * p.first.matrix for w, p in zip(weights, pairs))),
-            validate_density(sum(w * p.second.matrix for w, p in zip(weights, pairs))),
+        return 2 * count * dim * dim, (dim, weights, pairs)
+
+    rows = []
+    for block in _blocks(trials, seed, draw):
+        terms = _Stage([pair for _, (_, _, pairs) in block for pair in pairs])
+        # Each trial's terms, as indices of the terms stage.
+        spans, start = [], 0
+        for _, (_, weights, _) in block:
+            spans.append(range(start, start + len(weights)))
+            start += len(weights)
+        mixed = _Stage(
+            [
+                tuple(
+                    sum(w * m for w, m in zip(weights, side))
+                    for side in zip(*map(terms.matrices, span))
+                )
+                for (_, (_, weights, _)), span in zip(block, spans)
+            ]
         )
-        row = []
-        for qi in qs:
-            lhs = _value(qi, mixed)
-            rhs = float(sum(w * _value(qi, p) for w, p in zip(weights, pairs)))
-            detail = {"trial": t, "dim": dim, "terms": count}
-            row.append((rhs - lhs, {**detail, "lhs": lhs, "rhs": rhs}))
-        rows.append(row)
+        values = [(mixed.values(qi), terms.values(qi)) for qi in qs]
+        for i, (t, (dim, weights, _)) in enumerate(block):
+            row = []
+            for lhs, term in values:
+                lhs = lhs[i]
+                rhs = float(sum(w * term[j] for w, j in zip(weights, spans[i])))
+                detail = {"trial": t, "dim": dim, "terms": len(weights)}
+                row.append((_minus(rhs, lhs), {**detail, "lhs": lhs, "rhs": rhs}))
+            rows.append(row)
     return _suite_reports("joint_convexity", q, qs, rows, seed)
 
 
-def kadison_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
+def kadison_bound_check(
+    trials: int = 300, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
+) -> PropertyReport:
     """Squared Hilbert-Schmidt distance under a channel against the operator
     norm of the channel's action on the identity (non-unital channels
     included; partial traces realize the extreme growth)."""
     q = QuantifierId("hs_dist")
+
+    def draw(rng):
+        dim, _, channel = _contraction_channel(rng, rng.random() < 0.25, dim_range)
+        return 2 * dim * dim, (dim, channel, _random_pair(dim, rng))
+
     rows = []
-    for t in range(trials):
-        rng = derive_rng(seed, t)
-        label, dim, _, ch = _contraction_channel(rng, rng.random() < 0.25, (2, 6))
-        pair = _random_pair(dim, rng)
-        before = _value(q, pair)
-        after = _value(q, _image(ch, pair))
-        unit_norm = float(
-            np.max(np.abs(np.linalg.eigvalsh(apply_to_matrix(ch, np.eye(dim)))))
-        )
-        margin = unit_norm * before**2 - after**2
-        detail = {"trial": t, "dim": dim, "channel": label, "unit_norm": unit_norm}
-        rows.append([(margin, {**detail, "before_sq": before**2, "after_sq": after**2})])
+    for block in _blocks(trials, seed, draw):
+        pairs = _Stage([pair for _, (_, _, pair) in block])
+        chs = _built([channel for _, (_, channel, _) in block])
+        images = _images(chs, pairs)
+        befores, afters = pairs.values(q), images.values(q)
+        for i, (t, (dim, channel, _)) in enumerate(block):
+            before, after = befores[i], afters[i]
+            unit_norm = float(
+                np.max(np.abs(np.linalg.eigvalsh(apply_to_matrix(chs[i], np.eye(dim)))))
+            )
+            margin = unit_norm * before**2 - after**2
+            detail = {"trial": t, "dim": dim, "channel": channel.label, "unit_norm": unit_norm}
+            rows.append([(margin, {**detail, "before_sq": before**2, "after_sq": after**2})])
     return _suite_reports("kadison", q, [q], rows, seed)
 
 
-def purity_bound_check(trials: int = 300, seed: int = 0) -> PropertyReport:
+def purity_bound_check(
+    trials: int = 300, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
+) -> PropertyReport:
     """Squared Hilbert-Schmidt distance against the mean purity.
 
     Random pairs must satisfy the bound down to -1e-10; orthogonal pairs
     (40% of trials) must additionally saturate it within 1e-9.
     """
     q = QuantifierId("hs_dist")
-    rows = []
-    violations = 0
-    for t in range(trials):
-        rng = derive_rng(seed, t)
-        dim = int(rng.integers(2, 7))
+
+    def draw(rng):
+        dim = _dim(rng, dim_range)
         orthogonal = rng.random() < 0.4
         pair = _orthogonal_pair(dim, rng)[1] if orthogonal else _random_pair(dim, rng)
-        dist_sq = _value(q, pair) ** 2
-        bound = 0.5 * (purity(pair.first) + purity(pair.second))
-        gap = bound - dist_sq
-        # Saturation is required on orthogonal pairs, only the bound otherwise;
-        # a nan gap satisfies neither.
-        margin = -abs(gap) if orthogonal else gap
-        if not ((not orthogonal or abs(gap) <= TOL_MARGIN) and gap >= -TOL_CLOSED_FORM):
-            violations += 1
-        detail = {"trial": t, "dim": dim, "orthogonal": orthogonal}
-        rows.append([(margin, {**detail, "bound": bound, "dist_sq": dist_sq})])
+        return 2 * dim * dim, (dim, orthogonal, pair)
+
+    rows = []
+    violations = 0
+    for block in _blocks(trials, seed, draw):
+        pairs = _Stage([pair for _, (_, _, pair) in block])
+        distances = pairs.values(q)
+        for i, (t, (dim, orthogonal, _)) in enumerate(block):
+            pair = pairs.pair(i)
+            dist_sq = distances[i] ** 2
+            bound = 0.5 * (purity(pair.first) + purity(pair.second))
+            gap = bound - dist_sq
+            # Saturation is required on orthogonal pairs, only the bound
+            # otherwise; a nan gap satisfies neither.
+            margin = -abs(gap) if orthogonal else gap
+            if not ((not orthogonal or abs(gap) <= TOL_MARGIN) and gap >= -TOL_CLOSED_FORM):
+                violations += 1
+            detail = {"trial": t, "dim": dim, "orthogonal": orthogonal}
+            rows.append([(margin, {**detail, "bound": bound, "dist_sq": dist_sq})])
     report = _suite_reports("purity_bound", q, [q], rows, seed)
     report.violations = violations
     return report
@@ -463,28 +640,38 @@ def stinespring_dpi_equivalence(
     the staged evaluation must match the direct one and, for the contractive
     set, decrease monotonically along the pipeline."""
     qs = _quantifier_list(q, "stinespring")
-    rows = []
-    for t in range(trials):
-        rng = derive_rng(seed, t)
+
+    def draw(rng):
         dim = int(rng.integers(2, 5))
         env = int(rng.integers(2, 5))
         ch = channels._random_cptp_rng(dim, env, rng)
-        pair = _random_pair(dim, rng)
-        direct_pair = _image(ch, pair)
-        staged = [pair]
-        for stage in channels.stinespring_pipeline(channels.stinespring_factorize(ch), dim):
-            staged.append(_image(stage, staged[-1]))
-        row = []
-        for qi in qs:
-            direct = _value(qi, direct_pair)
-            stages = [_value(qi, p) for p in staged]
-            gap = abs(stages[-1] - direct)
-            decrements = [stages[i] - stages[i + 1] for i in range(3)]
-            # -gap makes a pipeline mismatch beyond the tolerance a violation on
-            # the same scale as a monotonicity failure.
-            detail = {"trial": t, "dim": dim, "env": env, "stages": stages}
-            row.append((min(min(decrements), -gap), {**detail, "direct": direct, "gap": gap}))
-        rows.append(row)
+        return 2 * dim * dim, (dim, env, ch, _random_pair(dim, rng))
+
+    rows = []
+    for block in _blocks(trials, seed, draw):
+        pairs = _Stage([pair for _, (*_, pair) in block])
+        direct = _images([ch for _, (_, _, ch, _) in block], pairs)
+        pipelines = [
+            channels.stinespring_pipeline(channels.stinespring_factorize(ch), dim)
+            for _, (dim, _, ch, _) in block
+        ]
+        staged = [pairs]
+        for k in range(3):
+            staged.append(_images([pipeline[k] for pipeline in pipelines], staged[-1]))
+        values = [(direct.values(qi), [stage.values(qi) for stage in staged]) for qi in qs]
+        for i, (t, (dim, env, _, _)) in enumerate(block):
+            row = []
+            for direct_values, stage_values in values:
+                stages = [v[i] for v in stage_values]
+                gap = abs(_minus(stages[-1], direct_values[i]))
+                decrements = [_minus(stages[k], stages[k + 1]) for k in range(3)]
+                # -gap makes a pipeline mismatch beyond the tolerance a
+                # violation on the same scale as a monotonicity failure.
+                detail = {"trial": t, "dim": dim, "env": env, "stages": stages}
+                row.append(
+                    (min(min(decrements), -gap), {**detail, "direct": direct_values[i], "gap": gap})
+                )
+            rows.append(row)
     return _suite_reports("stinespring", q, qs, rows, seed)
 
 

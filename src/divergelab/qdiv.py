@@ -49,10 +49,12 @@ def _checked(values):
     an array; the first value it refuses raises its error."""
     if isinstance(values, float):
         return QuantifierResult.of(values).value
-    bad = ~np.isfinite(values) | (values < NEGATIVE_CLIP)
-    if bad.any():
+    # Two reductions screen the stack; a nan makes the minimum nan.
+    low = values.min(initial=math.inf)
+    if not (low >= NEGATIVE_CLIP and values.max(initial=0.0) < math.inf):
+        bad = ~np.isfinite(values) | (values < NEGATIVE_CLIP)
         QuantifierResult.of(values[bad][0])
-    return np.where(values < 0.0, 0.0, values)
+    return np.where(values < 0.0, 0.0, values) if low < 0.0 else values
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -126,33 +128,26 @@ def _mixture(rho, sigma, mu: float):
     return mu * rho.matrix + (1.0 - mu) * sigma.matrix
 
 
-def _mixture_rows(firsts: DensityStack, seconds: DensityStack, mu: float, a: float, b: float):
-    """The mixture divergence kernel on stacks, each row's mixture validated
-    in one stacked call."""
-    m = validate_stack(_mixture(firsts, seconds, mu))
-    return a * _relative_entropies(firsts, m) + b * _relative_entropies(seconds, m)
+def _mixture_divergences(rho, sigma, mu: float, a: float, b: float, shared: dict):
+    """a D(rho || m) + b D(sigma || m) against the validated mixture
+    m = mu rho + (1 - mu) sigma, with the weights of :mod:`divergelab.cdiv`.
+
+    The two relative entropies depend on the pair and mu only, so they are
+    kept in ``shared`` under mu: qsd and holevo_skew at one mu share them."""
+    key = ("mixture", mu)
+    if key not in shared:
+        m = _mixture(rho, sigma, mu)
+        m = validate_density(m) if m.ndim == 2 else validate_stack(m)
+        shared[key] = _relative_entropies(rho, m), _relative_entropies(sigma, m)
+    first, second = shared[key]
+    return a * first + b * second
 
 
 def _mixture_divergence(
     rho: DensityMatrix, sigma: DensityMatrix, mu: float, a: float, b: float
 ) -> QuantifierResult:
-    """a D(rho || m) + b D(sigma || m) against the mixture
-    m = mu rho + (1 - mu) sigma, with the weights of :mod:`divergelab.cdiv`.
-
-    The two relative entropies depend on the pair and mu only, so rho keeps
-    them for its last partner: qsd and holevo_skew at one mu share them.
-    The entry holds the partner itself, so an identity match cannot come
-    from a recycled id."""
     _check_dims(rho, sigma)
-    last = rho.memo.get("mixture")
-    if last is not None and last[0] is sigma and last[1] == mu:
-        first, second = last[2], last[3]
-    else:
-        m = validate_density(_mixture(rho, sigma, mu))
-        first = float(_relative_entropies(rho, m))
-        second = float(_relative_entropies(sigma, m))
-        rho.memo["mixture"] = (sigma, mu, first, second)
-    return QuantifierResult.of(a * first + b * second)
+    return QuantifierResult.of(_mixture_divergences(rho, sigma, mu, a, b, {}))
 
 
 def quantum_skew_divergence(
@@ -209,16 +204,16 @@ def _psd_roots(rho):
     return (v * np.sqrt(lam)[..., None, :]) @ dagger(v)
 
 
-def _psd_sqrt(rho: DensityMatrix) -> np.ndarray:
-    # Kept on the state, so bures and hellinger compute it once.
-    root = rho.memo.get("sqrt")
-    if root is None:
-        root = rho.memo["sqrt"] = _psd_roots(rho)
-        root.flags.writeable = False
-    return root
+def _root_pair(rho, sigma, shared: dict):
+    """The PSD roots of sigma and rho, kept in ``shared``, so bures and
+    hellinger compute them once."""
+    if "roots" not in shared:
+        shared["roots"] = _psd_roots(sigma), _psd_roots(rho)
+    return shared["roots"]
 
 
-def _bures(root_sigma: np.ndarray, root_rho: np.ndarray):
+def _bures(rho, sigma, shared: dict):
+    root_sigma, root_rho = _root_pair(rho, sigma, shared)
     product = root_sigma @ root_rho
     d = product.shape[-1]
     affinity = matcore.schatten_norms(product.reshape(-1, d, d), "trace")
@@ -229,10 +224,11 @@ def _bures(root_sigma: np.ndarray, root_rho: np.ndarray):
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """sqrt(1 - Tr |sqrt(sigma) sqrt(rho)|)."""
     _check_dims(rho, sigma)
-    return QuantifierResult.of(_bures(_psd_sqrt(sigma), _psd_sqrt(rho)))
+    return QuantifierResult.of(_bures(rho, sigma, {}))
 
 
-def _hellinger(root_sigma: np.ndarray, root_rho: np.ndarray):
+def _hellinger(rho, sigma, shared: dict):
+    root_sigma, root_rho = _root_pair(rho, sigma, shared)
     overlap = np.trace(root_sigma @ root_rho, axis1=-2, axis2=-1).real
     return np.sqrt(_checked(1.0 - overlap))
 
@@ -240,7 +236,7 @@ def _hellinger(root_sigma: np.ndarray, root_rho: np.ndarray):
 def hellinger_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """sqrt(1 - Tr sqrt(sigma) sqrt(rho))."""
     _check_dims(rho, sigma)
-    return QuantifierResult.of(_hellinger(_psd_sqrt(sigma), _psd_sqrt(rho)))
+    return QuantifierResult.of(_hellinger(rho, sigma, {}))
 
 
 def _hs_distances(rho, sigma):
@@ -341,13 +337,15 @@ class QuantifierSpec:
     two ``DensityStack``s (the same kernel, so row i has the bits of
     ``quantum`` on that pair), ``classical`` on the joint eigenvalue
     distributions of a commuting pair; all take mu, which only
-    ``needs_mu`` entries use. ``quantum`` entries call the public functions
-    by their module-global names at call time, so rebinding such a name
-    reaches every evaluation of one pair.
+    ``needs_mu`` entries use. ``rows`` also takes the dict of values the
+    quantifiers share on one pair of stacks (see ``evaluate_rows``).
+    ``quantum`` entries call the public functions by their module-global
+    names at call time, so rebinding such a name reaches every evaluation
+    of one pair.
     """
 
     quantum: Callable[[DensityMatrix, DensityMatrix, Optional[float]], QuantifierResult]
-    rows: Callable[[DensityStack, DensityStack, Optional[float]], np.ndarray]
+    rows: Callable[[DensityStack, DensityStack, Optional[float], dict], np.ndarray]
     classical: Callable[[cdiv.Distribution, cdiv.Distribution, Optional[float]], QuantifierResult]
     needs_mu: bool = False
     contractive: bool = False  # under every CPTP map
@@ -365,52 +363,56 @@ class QuantifierSpec:
 QUANTIFIERS = {
     "rel_entropy": QuantifierSpec(
         lambda r, s, mu: relative_entropy(r, s),
-        lambda r, s, mu: _relative_entropies(r, s),
+        lambda r, s, mu, shared: _relative_entropies(r, s),
         lambda p, s, mu: cdiv.f_divergence(cdiv.kl(), p, s),
         contractive=True, transpose_invariant=True, jointly_convex=True, base_dependent=True,
     ),
     "qsd": QuantifierSpec(
         lambda r, s, mu: quantum_skew_divergence(r, s, mu),
-        lambda r, s, mu: _checked(_mixture_rows(r, s, *cdiv.skew_weights(cdiv.check_mu(mu)))),
+        lambda r, s, mu, shared: _checked(
+            _mixture_divergences(r, s, *cdiv.skew_weights(cdiv.check_mu(mu)), shared)
+        ),
         lambda p, s, mu: cdiv.f_divergence(cdiv.skew(mu), p, s),
         needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
         plateau=1.0, maximum=1.0,
     ),
     "holevo_skew": QuantifierSpec(
         lambda r, s, mu: holevo_skew_divergence(r, s, mu),
-        lambda r, s, mu: _checked(_mixture_rows(r, s, *cdiv.holevo_weights(cdiv.check_mu(mu)))),
+        lambda r, s, mu, shared: _checked(
+            _mixture_divergences(r, s, *cdiv.holevo_weights(cdiv.check_mu(mu)), shared)
+        ),
         lambda p, s, mu: cdiv.f_divergence(cdiv.hsd(mu), p, s),
         needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
         plateau=1.0, maximum=1.0,
     ),
     "trace_dist": QuantifierSpec(
         lambda r, s, mu: trace_distance(r, s),
-        lambda r, s, mu: _checked(_trace_distances(r, s)),
+        lambda r, s, mu, shared: _checked(_trace_distances(r, s)),
         lambda p, s, mu: cdiv.f_divergence(cdiv.vd(), p, s),
         contractive=True, transpose_invariant=True, plateau=1.0, maximum=1.0,
     ),
     "qjs": QuantifierSpec(
         lambda r, s, mu: quantum_js(r, s),
-        lambda r, s, mu: _checked(_mixture_rows(r, s, *cdiv.js_weights())),
+        lambda r, s, mu, shared: _checked(_mixture_divergences(r, s, *cdiv.js_weights(), shared)),
         lambda p, s, mu: cdiv.f_divergence(cdiv.js(), p, s),
         contractive=True, jointly_convex=True, base_dependent=True,
         plateau=math.log(2.0), maximum=math.log(2.0),
     ),
     "bures": QuantifierSpec(
         lambda r, s, mu: bures_distance(r, s),
-        lambda r, s, mu: _checked(_bures(_psd_roots(s), _psd_roots(r))),
+        lambda r, s, mu, shared: _checked(_bures(r, s, shared)),
         _root_infidelity,
         contractive=True, plateau=1.0, maximum=1.0,
     ),
     "hellinger": QuantifierSpec(
         lambda r, s, mu: hellinger_distance(r, s),
-        lambda r, s, mu: _checked(_hellinger(_psd_roots(s), _psd_roots(r))),
+        lambda r, s, mu, shared: _checked(_hellinger(r, s, shared)),
         _root_infidelity,
         contractive=True, plateau=1.0, maximum=1.0,
     ),
     "hs_dist": QuantifierSpec(
         lambda r, s, mu: hs_distance(r, s),
-        lambda r, s, mu: _checked(_hs_distances(r, s)),
+        lambda r, s, mu, shared: _checked(_hs_distances(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.euclidean_distance(p, s) / math.sqrt(2.0)),
         jointly_convex=True, maximum=1.0,
         assignment_factor=lambda tau: math.sqrt(purity(tau)),
@@ -418,7 +420,7 @@ QUANTIFIERS = {
     ),
     "d_inf": QuantifierSpec(
         lambda r, s, mu: d_infinity(r, s),
-        lambda r, s, mu: _checked(_d_infs(r, s)),
+        lambda r, s, mu, shared: _checked(_d_infs(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.chebyshev_distance(p, s)),
         jointly_convex=True, maximum=1.0,
         assignment_factor=lambda tau: float(np.max(tau.eigenvalues)),
@@ -469,8 +471,15 @@ def evaluate(q: QuantifierId, rho: DensityMatrix, sigma: DensityMatrix) -> Quant
     return q.spec.quantum(rho, sigma, q.mu)
 
 
-def evaluate_rows(q: QuantifierId, firsts: DensityStack, seconds: DensityStack) -> np.ndarray:
+def evaluate_rows(
+    q: QuantifierId, firsts: DensityStack, seconds: DensityStack, shared: Optional[dict] = None
+) -> np.ndarray:
     """``evaluate(q, firsts.state(i), seconds.state(i)).value`` for every
-    row i, bit for bit, in one stacked evaluation."""
+    row i, bit for bit, in one stacked evaluation.
+
+    ``shared`` keeps what several quantifiers compute alike on these two
+    stacks (the validated mixture's relative entropies at each mu, the PSD
+    roots); pass one dict for every quantifier evaluated on one pair of
+    stacks, and only on that pair."""
     _check_dims(firsts, seconds)
-    return q.spec.rows(firsts, seconds, q.mu)
+    return q.spec.rows(firsts, seconds, q.mu, {} if shared is None else shared)

@@ -8,7 +8,7 @@ per call through explicit seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -42,9 +42,6 @@ class DensityMatrix:
     matrix: np.ndarray
     spectral: SpectralDecomposition
     dim: int
-    # Values derived from this state that several quantifiers share; qdiv
-    # fills it under a fixed set of keys, so it never grows with use.
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -142,11 +139,15 @@ def validate_density(m) -> DensityMatrix:
     return validate_stack(m[None]).state(0)
 
 
-def pure_state(vector) -> DensityMatrix:
-    """Projector onto a (normalized) state vector."""
+def _projector(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     v = v / np.linalg.norm(v)
-    return validate_density(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
+
+
+def pure_state(vector) -> DensityMatrix:
+    """Projector onto a (normalized) state vector."""
+    return validate_density(_projector(vector))
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -181,8 +182,16 @@ def sample_state(
 def _sample_state_rng(
     dim: int, kind: str, rng: np.random.Generator, rank: Optional[int] = None
 ) -> DensityMatrix:
+    return validate_density(_draw_state(dim, kind, rng, rank))
+
+
+def _draw_state(
+    dim: int, kind: str, rng: np.random.Generator, rank: Optional[int] = None
+) -> np.ndarray:
+    """The matrix of a random state, not yet validated; validating it gives
+    the state ``_sample_state_rng`` returns for the same stream."""
     if kind == "haar_pure":
-        return pure_state(random_unit_vector(dim, rng))
+        return _projector(random_unit_vector(dim, rng))
     if kind == "hs_mixed":
         rank = dim
     elif kind == "rank_limited":
@@ -192,7 +201,7 @@ def _sample_state_rng(
         raise ValueError(f"unknown state kind {kind!r}")
     g = ginibre(dim, rank, rng)
     m = g @ dagger(g)
-    return validate_density(m / np.real(np.trace(m)))
+    return m / np.real(np.trace(m))
 
 
 class OrthogonalityCheck(NamedTuple):
@@ -225,19 +234,26 @@ def random_orthogonal_pair(
     """Pair with orthogonal supports: random block spectra rotated by one
     common Haar unitary. Spectra are bounded away from zero so the ranks are
     honest."""
+    return StatePair(*map(validate_density, _draw_orthogonal_pair(dim, rank1, rank2, seed)))
+
+
+def _draw_orthogonal_pair(
+    dim: int, rank1: int, rank2: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of ``random_orthogonal_pair``, not yet validated."""
     if rank1 < 1 or rank2 < 1 or rank1 + rank2 > dim:
         raise BadRank(f"need rank1 + rank2 <= dim, got {rank1}+{rank2} > {dim}")
     rng = derive_rng(seed)
     u = haar_unitary(dim, rng)
 
-    def block_state(offset: int, rank: int) -> DensityMatrix:
+    def block(offset: int, rank: int) -> np.ndarray:
         spectrum = rng.random(rank) + 0.1
         spectrum /= spectrum.sum()
         diag = np.zeros(dim)
         diag[offset : offset + rank] = spectrum
-        return validate_density(u @ np.diag(diag) @ dagger(u))
+        return u @ np.diag(diag) @ dagger(u)
 
-    return StatePair(block_state(0, rank1), block_state(rank1, rank2))
+    return block(0, rank1), block(rank1, rank2)
 
 
 def state_from_dict(d: dict) -> DensityMatrix:

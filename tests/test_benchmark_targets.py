@@ -2,8 +2,8 @@
 one of them must still exist, or the traced pass of the benchmark breaks.
 Its trial count reads what the suites return, so a suite run over several
 quantifiers must still be counted trial by trial. The benchmark's gate
-compares default-seed reports with its committed reference, so the low-dim
-and optimizer workloads are run against that reference here too."""
+compares default-seed reports with its committed reference, so every
+workload is run against that reference here too."""
 import importlib
 import importlib.util
 import sys
@@ -103,3 +103,14 @@ def test_optimizer_workload_matches_the_benchmark_reference(tmp_path, capsys):
     assert len(outcomes) == 4
     assert [o.problems for o in outcomes if o.problems] == []
     assert sum(o.attempted for o in outcomes) == 7
+
+
+def test_highdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
+    """The suites_highdim call at the default seed (dpi over all nine
+    quantifiers at d = 32-64) passes the benchmark's gate, its reference
+    comparison at 1e-12 included."""
+    outcomes = _gate_outcomes("suites_highdim", tmp_path)
+    capsys.readouterr()
+    assert len(outcomes) == 1
+    assert [o.problems for o in outcomes if o.problems] == []
+    assert sum(o.attempted for o in outcomes) == 9

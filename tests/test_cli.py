@@ -260,6 +260,39 @@ class TestSuiteInputChecks:
         assert "--log-base" in capsys.readouterr().err
 
 
+def _report_dims(path):
+    return [d["dim"] for r in json.loads(path.read_text())["results"] for d in r["details"]]
+
+
+class TestDimFlag:
+    @pytest.mark.parametrize(
+        "suite, q",
+        [("invariance", ["--q", "trace_dist"]), ("kadison", []), ("purity-bound", [])],
+    )
+    def test_dim_reaches_the_suite(self, suite, q, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["suite", suite, *q, "--dim", "7-8", "--trials", "12", "--seed", "3"]
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out.read_text())["results"][0]
+        # kadison's partial-trace trials keep their 2-3 x 2-4 factorization.
+        dims = [d["dim"] for d in report["details"] if d.get("channel") != "partial_trace"]
+        assert dims and set(dims) <= {7, 8}
+
+    @pytest.mark.parametrize("suite", ["joint-convexity", "stinespring"])
+    def test_fixed_range_suites_note_that_dim_is_ignored(self, suite, tmp_path, capsys):
+        paths = [tmp_path / "plain.json", tmp_path / "dim.json"]
+        outs = []
+        for path, dim in zip(paths, ([], ["--dim", "7-8"])):
+            argv = ["suite", suite, *dim, "--trials", "4", "--seed", "9", "--out", str(path)]
+            code, out, err = run(argv, capsys)
+            assert code == 0
+            outs.append((out, err))
+        assert outs[0] == (outs[1][0], "")
+        assert outs[1][1] == f"note: suite {suite} draws its dims from 2-4 and ignores --dim\n"
+        assert _report_dims(paths[0]) == _report_dims(paths[1])
+
+
 class TestSeedInput:
     @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
     def test_bad_seed_flag_is_usage_error(self, seed, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -369,9 +370,143 @@ def test_channel_mix_covers_all_classes():
     labels = set()
     for t in range(200):
         rng = derive_rng(55, t)
-        label, ch = harness._trial_channel(3, rng)
-        labels.add(label)
+        draw = harness._trial_channel(3, rng)
+        ch = draw.build(None if draw.tau is None else validate_density(draw.tau))
+        labels.add(draw.label)
         diag = channels.check_cptp(ch)
         assert diag.tp_residual <= 1e-9
         assert diag.choi_min_eigenvalue >= -1e-9
     assert labels == {"stinespring", "unitary", "assignment_ptrace", "measure_prepare"}
+
+
+def _reports_json(result):
+    reports = result.all_reports() if hasattr(result, "all_reports") else [result]
+    return [r.to_json() for r in reports]
+
+
+# (suite, arguments) at low dims, with a repeated quantifier where the suite
+# takes a list, and dpi at d = 32-40.
+BLOCK_CASES = [
+    (dpi_suite, (_tags(*qdiv.ALL_TAGS, "qsd"),), {"trials": 40, "seed": 71}),
+    (
+        dpi_suite,
+        (_tags(*qdiv.ALL_TAGS, "bures"),),
+        {"trials": 6, "seed": 72, "dim_range": (32, 40)},
+    ),
+    (
+        dpi_suite,
+        (_tags("hs_dist", "d_inf", "hs_dist"),),
+        {"trials": 30, "seed": 73, "channel_kind": "partial_trace"},
+    ),
+    (invariance_suite, (_tags(*qdiv.ALL_TAGS, "trace_dist"),), {"trials": 30, "seed": 74}),
+    (orthogonal_plateau_check, (_tags(*qdiv.PLATEAU_VALUE, "qjs"),), {"trials": 30, "seed": 75}),
+    (joint_convexity_suite, (_tags(*qdiv.JOINTLY_CONVEX, "qsd"),), {"trials": 30, "seed": 76}),
+    (kadison_bound_check, (), {"trials": 40, "seed": 77}),
+    (purity_bound_check, (), {"trials": 40, "seed": 78}),
+    (stinespring_dpi_equivalence, (_tags(*qdiv.CONTRACTIVE, "qjs"),), {"trials": 12, "seed": 79}),
+]
+BLOCK_IDS = [
+    "dpi",
+    "dpi-32-40",
+    "dpi-partial-trace",
+    "invariance",
+    "plateau",
+    "joint-convexity",
+    "kadison",
+    "purity-bound",
+    "stinespring",
+]
+
+
+class TestBlocks:
+    """Trials are validated and evaluated in blocks of per-dimension stacks;
+    where the blocks end does not change a report."""
+
+    @pytest.mark.parametrize("suite, args, kw", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_block_boundaries_change_nothing(self, suite, args, kw, monkeypatch):
+        sizes = []
+        blocks = harness._blocks
+
+        def recorded(*a):
+            for block in blocks(*a):
+                sizes.append(len(block))
+                yield block
+
+        monkeypatch.setattr(harness, "_blocks", recorded)
+        default = _reports_json(suite(*args, **kw))
+        stacked = max(sizes)
+        # A budget that stacks trials at d = 32-40 too, one that cuts blocks
+        # mid-way at low dims, then one trial per block.
+        for budget in (2**13, 97, 0):
+            monkeypatch.setattr(harness, "BLOCK_ENTRIES", budget)
+            sizes.clear()
+            assert _reports_json(suite(*args, **kw)) == default, budget
+            stacked = max(stacked, *sizes)
+        assert sizes == [1] * kw["trials"]
+        assert stacked > 1
+
+    def test_dpi_makes_no_one_pair_evaluation_and_no_per_trial_validation(self, monkeypatch):
+        import divergelab
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("divergelab")]
+        validations, stacks = [], []
+        for module in modules:
+            if hasattr(module, "validate_density"):
+                monkeypatch.setattr(module, "validate_density", lambda *a: validations.append(a))
+        validate_stack = divergelab.states.validate_stack
+
+        def counted(ms):
+            stacks.append(len(ms))
+            return validate_stack(ms)
+
+        for module in modules:
+            if getattr(module, "validate_stack", None) is validate_stack:
+                monkeypatch.setattr(module, "validate_stack", counted)
+        monkeypatch.setattr(qdiv, "evaluate", lambda *a: pytest.fail("one-pair evaluation"))
+        trials = 60
+        reports = dpi_suite(_tags(*qdiv.ALL_TAGS, "qsd"), trials=trials, seed=81)
+        assert validations == []
+        drawn = {d["channel"] for d in reports[0].details}
+        assert drawn == {"stinespring", "unitary", "assignment_ptrace", "measure_prepare"}
+        # Pairs, ancilla states, images and two mixtures per block and dim.
+        assert sum(stacks) > 4 * trials and len(stacks) < trials
+
+
+def _unsupported_pair(dim, rng):
+    """rho on the first basis vector, sigma on the others: D(rho || sigma)
+    is +inf, and stays so under every unitary."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    sigma = np.diag([0.0] + [1.0 / (dim - 1)] * (dim - 1)).astype(complex)
+    return rho, sigma
+
+
+class TestInfiniteMargins:
+    def test_equal_infinities_are_margin_zero_under_a_unitary(self, monkeypatch):
+        monkeypatch.setattr(harness, "_random_pair", _unsupported_pair)
+        reports = invariance_suite(_tags("rel_entropy", "trace_dist"), trials=8, seed=91)
+        rel_entropy = reports[0]
+        assert all(d["before"] == math.inf for d in rel_entropy.unitary.details)
+        assert all(d["after"] == math.inf for d in rel_entropy.unitary.details)
+        for report in rel_entropy.all_reports():
+            assert report.worst_margin == 0.0, report.suite
+        assert all(r.violations == 0 and r.passed for r in reports.all_reports())
+
+    def test_equal_infinities_are_margin_zero_in_dpi(self, monkeypatch):
+        def unitary_only(dim, rng):
+            u = haar_unitary(dim, rng)
+            return harness._ChannelDraw("unitary", None, lambda tau: channels.unitary_channel(u))
+
+        monkeypatch.setattr(harness, "_random_pair", _unsupported_pair)
+        monkeypatch.setattr(harness, "_trial_channel", unitary_only)
+        report = dpi_suite(quantifier("rel_entropy"), trials=8, seed=92)
+        assert all(d["before"] == d["after"] == math.inf for d in report.details)
+        assert all(d["margin"] == 0.0 for d in report.details)
+        assert report.violations == 0 and report.passed
+
+    @pytest.mark.parametrize(
+        "a, b, diff", [(math.inf, math.inf, 0.0), (math.inf, 1.0, math.inf), (2.0, 0.5, 1.5)]
+    )
+    def test_minus(self, a, b, diff):
+        assert harness._minus(a, b) == diff
+        assert math.isnan(harness._minus(math.nan, math.nan))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from divergelab import qdiv, states
+from divergelab import matcore, qdiv, states
 from divergelab.errors import BadMu, DimensionMismatch, NotCommuting, WeightError
 from divergelab.qdiv import (
     ALL_TAGS,
@@ -237,58 +237,66 @@ class TestBuresHellinger:
         assert 0.0 <= bures_distance(rho, sigma).value <= 1.0 + 1e-12
 
 
-def _fresh(rho):
-    # The same state with nothing memoized.
-    return states.DensityMatrix(rho.matrix, rho.spectral, rho.dim)
+def _stacks(dim, seed, rows=6):
+    """Two stacks of random states, row i of each a pair."""
+    firsts, seconds = zip(*(_pair(dim, seed + k) for k in range(rows)))
+    return tuple(
+        states.validate_stack(np.array([rho.matrix for rho in side])) for side in (firsts, seconds)
+    )
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of qdiv's binding ``name``."""
+    calls = []
+    original = getattr(qdiv, name)
+    monkeypatch.setattr(qdiv, name, lambda *a: calls.append(a) or original(*a))
+    return calls
 
 
 class TestSharedStateValues:
-    def test_square_root_is_computed_once_per_state(self):
-        rho, sigma = _pair(5, 41)
-        bures = bures_distance(rho, sigma).value
-        roots = rho.memo["sqrt"], sigma.memo["sqrt"]
-        hellinger = hellinger_distance(rho, sigma).value
-        assert rho.memo["sqrt"] is roots[0] and sigma.memo["sqrt"] is roots[1]
-        assert bures == bures_distance(_fresh(rho), _fresh(sigma)).value
-        assert hellinger == hellinger_distance(_fresh(rho), _fresh(sigma)).value
+    """Quantifiers evaluated on one pair of stacks share what they compute
+    alike through one dict, with the bits of unshared evaluations."""
+
+    def test_square_roots_are_computed_once_per_stack(self, monkeypatch):
+        firsts, seconds = _stacks(5, 41)
+        qs = [quantifier("bures"), quantifier("hellinger")]
+        unshared = [qdiv.evaluate_rows(q, firsts, seconds) for q in qs]
+        roots = _counting(monkeypatch, "_psd_roots")
+        shared = {}
+        values = [qdiv.evaluate_rows(q, firsts, seconds, shared) for q in qs]
+        assert len(roots) == 2  # one per stack
+        assert [v.tobytes() for v in values] == [v.tobytes() for v in unshared]
 
     def test_qsd_and_holevo_skew_share_one_mixture(self, monkeypatch):
-        rho, sigma = _pair(4, 42)
-        built = []
-        monkeypatch.setattr(
-            qdiv,
-            "validate_density",
-            lambda m, validate=qdiv.validate_density: built.append(m) or validate(m),
-        )
-        qsd = quantum_skew_divergence(rho, sigma, 0.3).value
-        holevo = holevo_skew_divergence(rho, sigma, 0.3).value
-        assert len(built) == 1
-        quantum_js(rho, sigma)  # another mu, another mixture
+        firsts, seconds = _stacks(4, 42)
+        tags = ("qsd", "holevo_skew", "qjs")
+        unshared = [qdiv.evaluate_rows(quantifier(t, 0.3), firsts, seconds) for t in tags]
+        built = _counting(monkeypatch, "validate_stack")
+        shared = {}
+        values = []
+        for tag in tags:
+            values.append(qdiv.evaluate_rows(quantifier(tag, 0.3), firsts, seconds, shared))
+            # qjs mixes at mu = 1/2, another mixture.
+            assert len(built) == (1 if tag != "qjs" else 2)
+        assert [v.tobytes() for v in values] == [v.tobytes() for v in unshared]
+
+    def test_shared_mixtures_are_kept_per_mu(self, monkeypatch):
+        firsts, seconds = _stacks(3, 43)
+        built = _counting(monkeypatch, "validate_stack")
+        shared = {}
+        for mu in (0.3, 0.7, 0.3):
+            value = qdiv.evaluate_rows(quantifier("holevo_skew", mu), firsts, seconds, shared)
+            for i in range(len(value)):
+                want = holevo_skew_divergence(firsts.state(i), seconds.state(i), mu).value
+                assert float(value[i]).hex() == want.hex()
         assert len(built) == 2
-        monkeypatch.undo()
-        assert qsd == quantum_skew_divergence(_fresh(rho), _fresh(sigma), 0.3).value
-        assert holevo == holevo_skew_divergence(_fresh(rho), _fresh(sigma), 0.3).value
 
-    def test_mixture_memo_keeps_only_the_last_partner(self):
-        rho = sample_state(3, "hs_mixed", seed=43)
-        partners = [sample_state(3, "hs_mixed", seed=100 + k) for k in range(30)]
-        for sigma in partners:
-            value = holevo_skew_divergence(rho, sigma, 0.3).value
-            assert value == holevo_skew_divergence(_fresh(rho), sigma, 0.3).value
-            assert set(rho.memo) == {"mixture"}
-            assert rho.memo["mixture"][0] is sigma
-
-    def test_mixture_memo_is_checked_by_identity(self):
-        rho, sigma = _pair(3, 44)
-        twin = _fresh(sigma)
-        other = sample_state(3, "hs_mixed", seed=45)
-        assert holevo_skew_divergence(rho, sigma, 0.3).value == holevo_skew_divergence(
-            rho, twin, 0.3
-        ).value
-        assert rho.memo["mixture"][0] is twin
-        assert holevo_skew_divergence(rho, other, 0.3).value == holevo_skew_divergence(
-            _fresh(rho), other, 0.3
-        ).value
+    def test_one_pair_evaluations_share_nothing(self, monkeypatch):
+        rho, sigma = _pair(4, 44)
+        built = _counting(monkeypatch, "validate_density")
+        quantum_skew_divergence(rho, sigma, 0.3)
+        holevo_skew_divergence(rho, sigma, 0.3)
+        assert len(built) == 2
 
 
 class TestHSDistance:
@@ -536,3 +544,74 @@ class TestRowKernels:
             for i in range(8):
                 want = evaluate(q, firsts.state(i), seconds.state(i)).value
                 assert float(rows[i]).hex() == want.hex(), (q.tag, i)
+
+
+def _edge_spectrum(kind, dim, rng):
+    """A spectrum of one edge kind: two degenerate blocks, two eigenvalues
+    5e-9 apart (inside the joint eigenbasis's 1e-8 cluster tolerance), or a
+    quarter of the eigenvalues at 1.5 or 0.5 times SUPPORT_TOL."""
+    p = rng.random(dim) + 0.05
+    if kind == "degenerate":
+        p[: dim // 2], p[dim // 2 :] = p[0], p[-1]
+    elif kind == "near_degenerate":
+        p[1] = p[0] + 5e-9
+    else:
+        k = max(1, dim // 4)
+        tiny = (1.5 if kind == "above_support_tol" else 0.5) * matcore.SUPPORT_TOL
+        p = p / p[k:].sum() * (1.0 - k * tiny)
+        p[:k] = tiny
+        return p
+    return p / p.sum()
+
+
+EDGE_KINDS = ("degenerate", "near_degenerate", "above_support_tol", "below_support_tol")
+
+
+def _edge_pairs(dim, kind, commuting):
+    """Three pairs with edge spectra, diagonal in one common Haar basis when
+    ``commuting``; the small eigenvalues of both states of a pair share
+    their places, so both sides of each pair are at the same edge."""
+    rng = derive_rng(17, dim, EDGE_KINDS.index(kind), commuting)
+    pairs = []
+    for _ in range(3):
+        u = haar_unitary(dim, rng)
+        w = u if commuting else haar_unitary(dim, rng)
+        p, q = _edge_spectrum(kind, dim, rng), _edge_spectrum(kind, dim, rng)
+        pairs.append((p, q, u @ np.diag(p) @ u.conj().T, w @ np.diag(q) @ w.conj().T))
+    return pairs
+
+
+class TestEdgeInputs:
+    """Degenerate spectra, eigenvalues either side of the support threshold
+    and d = 32 and 64: stacked rows are one-pair evaluations bit for bit,
+    and commuting pairs agree with their classical reduction."""
+
+    @pytest.mark.parametrize("dim", [3, 32, 64])
+    @pytest.mark.parametrize("kind", EDGE_KINDS)
+    def test_rows_are_bitwise_one_pair_evaluations(self, dim, kind):
+        pairs = _edge_pairs(dim, kind, False) + _edge_pairs(dim, kind, True)
+        firsts = states.validate_stack(np.array([a for _, _, a, _ in pairs]))
+        seconds = states.validate_stack(np.array([b for _, _, _, b in pairs]))
+        shared = {}
+        for q in all_quantifiers():
+            rows = qdiv.evaluate_rows(q, firsts, seconds, shared)
+            for i in range(len(pairs)):
+                want = evaluate(q, firsts.state(i), seconds.state(i)).value
+                assert float(rows[i]).hex() == want.hex(), (q.tag, i)
+
+    @pytest.mark.parametrize("dim", [3, 32, 64])
+    @pytest.mark.parametrize("kind", EDGE_KINDS)
+    def test_commuting_pairs_agree_with_the_classical_reduction(self, dim, kind):
+        for p, s, a, b in _edge_pairs(dim, kind, True):
+            rho, sigma = validate_density(a), validate_density(b)
+            for q in all_quantifiers():
+                red = qdiv.classical_reduction(q, rho, sigma)
+                if q.tag in ("bures", "hellinger") and kind == "below_support_tol":
+                    # The quantum roots drop the eigenvalues below the support
+                    # threshold, the classical affinity keeps them: with A the
+                    # affinity they carry, the quantum value sqrt(1 - F + A)
+                    # exceeds sqrt(1 - F) by at most A / sqrt(1 - F + A).
+                    dropped = float(np.sqrt(p * s)[p <= matcore.SUPPORT_TOL].sum())
+                    assert red.gap <= dropped / red.quantum_value.value + 1e-12, q.tag
+                else:
+                    assert red.gap <= 1e-10, (q.tag, red.gap)
