@@ -8,8 +8,11 @@ order. A suite that takes a quantifier takes a sequence of them too: each
 trial is drawn once, its channels built and applied once, and every
 quantifier is evaluated on it, with the same reports as one call per
 quantifier. Margins are signed with negative meaning violation; a trial counts
-as a violation when its margin falls below -tolerance; where a margin is a
-difference of two equal infinities, it is 0.
+as a violation when its margin falls below -tolerance or is nan; where a
+margin is a difference of two equal infinities, it is 0, and a margin of
++inf (an infinite side above a finite one) holds. A suite refuses
+``trials`` below 1 and a ``dim_range`` other than 2 <= low <= high before
+it draws a trial.
 
 Every suite runs on stacks. A trial draws its dim, channels and state
 matrices from its stream, unvalidated. Consecutive trials form a block,
@@ -119,9 +122,9 @@ def _finish(
     expectation: str = ZERO_VIOLATIONS,
     extra: Optional[dict] = None,
 ) -> PropertyReport:
-    # A non-finite margin is a violation, and a nan one is the worst margin
-    # wherever it falls in the trial order.
-    violations = sum(1 for m in margins if not (math.isfinite(m) and m >= -tolerance))
+    # A nan or -inf margin is a violation, +inf is not; a nan margin is the
+    # worst wherever it falls in the trial order.
+    violations = sum(1 for m in margins if not m >= -tolerance)
     worst = math.nan if any(math.isnan(m) for m in margins) else min(margins, default=0.0)
     return PropertyReport(
         suite=suite,
@@ -246,11 +249,17 @@ def _suite_reports(
 BLOCK_ENTRIES = 2**11
 
 
-def _blocks(trials: int, seed: int, draw):
+def _blocks(trials: int, seed: int, draw, dim_range: Optional[tuple[int, int]] = None):
     """Lists of ``(t, trial)``: each trial drawn by ``draw`` from its own
     stream ``derive_rng(seed, t)``, consecutive trials gathered into blocks
     of ``BLOCK_ENTRIES``. ``draw`` returns the entry count of the states it
-    drew, and the trial. The next block is drawn only once a block is done."""
+    drew, and the trial. The next block is drawn only once a block is done.
+    ``trials`` and the ``dim_range`` that ``draw`` draws dims from are
+    checked before the first draw."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if dim_range is not None and not 2 <= dim_range[0] <= dim_range[1]:
+        raise ValueError(f"dim_range needs 2 <= low <= high, got {tuple(dim_range)}")
     block, used = [], 0
     for t in range(trials):
         entries, trial = draw(derive_rng(seed, t))
@@ -431,7 +440,7 @@ def dpi_suite(
         return 2 * dim * dim, (dim, d_e, channel, _random_pair(dim, rng))
 
     rows, traced = [], []
-    for block in _blocks(trials, seed, draw):
+    for block in _blocks(trials, seed, draw, dim_range):
         pairs = _Stage([pair for _, (*_, pair) in block])
         images = _images(_built([channel for _, (_, _, channel, _) in block]), pairs)
         before = [pairs.values(qi) for qi in qs]
@@ -465,7 +474,7 @@ def invariance_suite(
         return 2 * dim * dim, (dim, pair, unitary, _draw_state(env, "hs_mixed", rng))
 
     rows = []
-    for block in _blocks(trials, seed, draw):
+    for block in _blocks(trials, seed, draw, dim_range):
         dims = [dim for _, (dim, *_) in block]
         pairs = _Stage([pair for _, (_, pair, _, _) in block])
         taus = _states([tau for _, (*_, tau) in block])
@@ -511,7 +520,7 @@ def orthogonal_plateau_check(
         return 2 * dim * dim, (dim, *_orthogonal_pair(dim, rng))
 
     rows = []
-    for block in _blocks(trials, seed, draw):
+    for block in _blocks(trials, seed, draw, dim_range):
         pairs = _Stage([pair for _, (_, _, pair) in block])
         values = [pairs.values(qi) for qi in qs]
         for i, (t, (dim, ranks, _)) in enumerate(block):
@@ -579,7 +588,7 @@ def kadison_bound_check(
         return 2 * dim * dim, (dim, channel, _random_pair(dim, rng))
 
     rows = []
-    for block in _blocks(trials, seed, draw):
+    for block in _blocks(trials, seed, draw, dim_range):
         pairs = _Stage([pair for _, (_, _, pair) in block])
         chs = _built([channel for _, (_, channel, _) in block])
         images = _images(chs, pairs)
@@ -613,7 +622,7 @@ def purity_bound_check(
 
     rows = []
     violations = 0
-    for block in _blocks(trials, seed, draw):
+    for block in _blocks(trials, seed, draw, dim_range):
         pairs = _Stage([pair for _, (_, _, pair) in block])
         distances = pairs.values(q)
         for i, (t, (dim, orthogonal, _)) in enumerate(block):

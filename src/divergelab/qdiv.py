@@ -1,13 +1,16 @@
 """Quantum distinguishability quantifiers behind one uniform interface.
 
-Every quantifier takes a pair of validated states and returns a
-``QuantifierResult``; +inf only ever comes from the explicit support
-containment check inside the relative entropy. Natural logarithms
-throughout. Restricted to commuting pairs, each quantifier coincides with a
-classical expression on the joint eigenvalue distributions, which
-``classical_reduction`` evaluates through :mod:`divergelab.cdiv` as an
-independent cross-check. Every fact the package uses about a quantifier,
-classical form included, lives in its ``QUANTIFIERS`` entry.
+Each quantifier has one kernel, which evaluates it on every row pair of two
+``DensityStack``s; ``evaluate_rows`` calls it. ``evaluate`` and the nine
+public functions are its one-row case: they take a pair of validated
+states and return a ``QuantifierResult``. +inf only ever comes from the
+explicit support containment check inside the relative entropy. Natural
+logarithms throughout. Restricted to commuting pairs, each quantifier
+coincides with a classical expression on the joint eigenvalue
+distributions, which ``classical_reduction`` evaluates through
+:mod:`divergelab.cdiv` as an independent cross-check. Every fact the
+package uses about a quantifier, classical form included, lives in its
+``QUANTIFIERS`` entry.
 """
 from __future__ import annotations
 
@@ -39,16 +42,13 @@ def _check_dims(rho, sigma) -> None:
         raise DimensionMismatch(f"state dims differ: {rho.dim} vs {sigma.dim}")
 
 
-# The kernels below take a pair of states, or a pair of ``DensityStack``s
-# and work row by row; each gives a stacked row the bits it gives that
-# row's pair alone. The public functions are their one-pair case.
+# The kernels below take a pair of ``DensityStack``s and work row by row;
+# each gives a row the bits it gives that row's pair alone.
 
 
-def _checked(values):
-    """``QuantifierResult.of(v).value`` for one value, or for each value of
-    an array; the first value it refuses raises its error."""
-    if isinstance(values, float):
-        return QuantifierResult.of(values).value
+def _checked(values: np.ndarray) -> np.ndarray:
+    """``QuantifierResult.of(v).value`` for each value of an array; the first
+    value it refuses raises its error."""
     # Two reductions screen the stack; a nan makes the minimum nan.
     low = values.min(initial=math.inf)
     if not (low >= NEGATIVE_CLIP and values.max(initial=0.0) < math.inf):
@@ -64,9 +64,9 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def _columns(vectors: np.ndarray, cols: slice) -> np.ndarray:
-    """A block of columns (of each matrix of a stack) in column-major order,
-    the layout that selecting columns by a boolean mask gives: the products
-    below then take the BLAS path, and so the bits, of the one-pair code."""
+    """A block of columns of each matrix of a stack, in the column-major
+    order that selecting columns by a boolean mask gives: the products
+    below take their BLAS path, and so their last bits, from this layout."""
     return np.ascontiguousarray(vectors[..., cols].swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
@@ -97,9 +97,6 @@ def _relative_entropies(rho, sigma):
     spectra, which fix the shapes of every product."""
     tol, n = matcore.SUPPORT_TOL, rho.dim + 1
     args = rho.matrix, rho.eigenvalues, rho.eigenvectors, sigma.eigenvalues, sigma.eigenvectors
-    if rho.eigenvalues.ndim == 1:
-        ranks = np.count_nonzero(rho.eigenvalues > tol), np.count_nonzero(sigma.eigenvalues > tol)
-        return _relative_entropy_block(*args, *ranks)
     keys = (rho.eigenvalues > tol).sum(axis=-1) * n + (sigma.eigenvalues > tol).sum(axis=-1)
     groups = set(keys.tolist())
     if len(groups) == 1:
@@ -119,13 +116,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResu
     1e-10`` with P_sigma the support projector of sigma, so the value is
     never produced by taking the log of a clipped zero.
     """
-    _check_dims(rho, sigma)
-    value = float(_relative_entropies(rho, sigma))
-    return QuantifierResult.infinite() if value == math.inf else QuantifierResult(value)
-
-
-def _mixture(rho, sigma, mu: float):
-    return mu * rho.matrix + (1.0 - mu) * sigma.matrix
+    return evaluate(QuantifierId("rel_entropy"), rho, sigma)
 
 
 def _mixture_divergences(rho, sigma, mu: float, a: float, b: float, shared: dict):
@@ -136,18 +127,16 @@ def _mixture_divergences(rho, sigma, mu: float, a: float, b: float, shared: dict
     kept in ``shared`` under mu: qsd and holevo_skew at one mu share them."""
     key = ("mixture", mu)
     if key not in shared:
-        m = _mixture(rho, sigma, mu)
-        m = validate_density(m) if m.ndim == 2 else validate_stack(m)
+        m = validate_stack(mu * rho.matrix + (1.0 - mu) * sigma.matrix)
         shared[key] = _relative_entropies(rho, m), _relative_entropies(sigma, m)
     first, second = shared[key]
     return a * first + b * second
 
 
-def _mixture_divergence(
-    rho: DensityMatrix, sigma: DensityMatrix, mu: float, a: float, b: float
-) -> QuantifierResult:
-    _check_dims(rho, sigma)
-    return QuantifierResult.of(_mixture_divergences(rho, sigma, mu, a, b, {}))
+def _mixture_rows(weights: Callable[[Optional[float]], tuple[float, float, float]]):
+    """The row evaluator of a mixture divergence; ``weights(mu)`` gives the
+    mixture's mu and the weights a, b of ``_mixture_divergences``."""
+    return lambda r, s, mu, shared: _checked(_mixture_divergences(r, s, *weights(mu), shared))
 
 
 def quantum_skew_divergence(
@@ -155,7 +144,7 @@ def quantum_skew_divergence(
 ) -> QuantifierResult:
     """Skewed relative entropy against the mu-mixture, symmetrized and
     normalized to take values in [0, 1]; always finite."""
-    return _mixture_divergence(rho, sigma, *cdiv.skew_weights(cdiv.check_mu(mu)))
+    return evaluate(QuantifierId("qsd", mu), rho, sigma)
 
 
 def holevo_skew_divergence(
@@ -163,7 +152,7 @@ def holevo_skew_divergence(
 ) -> QuantifierResult:
     """Binary-entropy-normalized skew divergence; equals the Holevo quantity
     of the weighted two-state ensemble divided by h(mu)."""
-    return _mixture_divergence(rho, sigma, *cdiv.holevo_weights(cdiv.check_mu(mu)))
+    return evaluate(QuantifierId("holevo_skew", mu), rho, sigma)
 
 
 def holevo_chi(ensemble: Sequence[tuple[float, DensityMatrix]]) -> float:
@@ -187,13 +176,12 @@ def _trace_distances(rho, sigma):
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
-    _check_dims(rho, sigma)
-    return QuantifierResult.of(_trace_distances(rho, sigma))
+    return evaluate(QuantifierId("trace_dist"), rho, sigma)
 
 
 def quantum_js(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """Half the sum of relative entropies against the even mixture."""
-    return _mixture_divergence(rho, sigma, *cdiv.js_weights())
+    return evaluate(QuantifierId("qjs"), rho, sigma)
 
 
 def _psd_roots(rho):
@@ -214,17 +202,13 @@ def _root_pair(rho, sigma, shared: dict):
 
 def _bures(rho, sigma, shared: dict):
     root_sigma, root_rho = _root_pair(rho, sigma, shared)
-    product = root_sigma @ root_rho
-    d = product.shape[-1]
-    affinity = matcore.schatten_norms(product.reshape(-1, d, d), "trace")
-    # One value for one pair, one per row for stacks.
-    return np.sqrt(_checked(1.0 - affinity.reshape(product.shape[:-2])[()]))
+    affinity = matcore.schatten_norms(root_sigma @ root_rho, "trace")
+    return np.sqrt(_checked(1.0 - affinity))
 
 
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """sqrt(1 - Tr |sqrt(sigma) sqrt(rho)|)."""
-    _check_dims(rho, sigma)
-    return QuantifierResult.of(_bures(rho, sigma, {}))
+    return evaluate(QuantifierId("bures"), rho, sigma)
 
 
 def _hellinger(rho, sigma, shared: dict):
@@ -235,22 +219,18 @@ def _hellinger(rho, sigma, shared: dict):
 
 def hellinger_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """sqrt(1 - Tr sqrt(sigma) sqrt(rho))."""
-    _check_dims(rho, sigma)
-    return QuantifierResult.of(_hellinger(rho, sigma, {}))
+    return evaluate(QuantifierId("hellinger"), rho, sigma)
 
 
 def _hs_distances(rho, sigma):
     # np.linalg.norm of each matrix: its stacked form sums in another order.
-    diff = rho.matrix - sigma.matrix
-    norms = np.linalg.norm(diff) if diff.ndim == 2 else np.array([np.linalg.norm(m) for m in diff])
-    return norms / _SQRT2
+    return np.array([np.linalg.norm(m) for m in rho.matrix - sigma.matrix]) / _SQRT2
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """Hilbert-Schmidt norm of the difference, scaled by 1/sqrt(2) so a pure
     orthogonal qubit pair sits at 1."""
-    _check_dims(rho, sigma)
-    return QuantifierResult.of(_hs_distances(rho, sigma))
+    return evaluate(QuantifierId("hs_dist"), rho, sigma)
 
 
 def _d_infs(rho, sigma):
@@ -261,8 +241,7 @@ def _d_infs(rho, sigma):
 
 def d_infinity(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
     """Operator norm of the difference: the maximum of Tr |w (rho - sigma)| over states w."""
-    _check_dims(rho, sigma)
-    return QuantifierResult.of(_d_infs(rho, sigma))
+    return evaluate(QuantifierId("d_inf"), rho, sigma)
 
 
 def _joint_eigenbasis(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -326,25 +305,22 @@ def classical_reduction(
 
 
 def _root_infidelity(p: cdiv.Distribution, s: cdiv.Distribution, mu) -> QuantifierResult:
-    return QuantifierResult.of(np.sqrt(_checked(1.0 - cdiv.bhattacharyya_coefficient(p, s))))
+    infidelity = QuantifierResult.of(1.0 - cdiv.bhattacharyya_coefficient(p, s)).value
+    return QuantifierResult.of(math.sqrt(infidelity))
 
 
 @dataclass(frozen=True)
 class QuantifierSpec:
     """Everything the package knows about one quantifier.
 
-    ``quantum`` evaluates it on two states, ``rows`` on each row pair of
-    two ``DensityStack``s (the same kernel, so row i has the bits of
-    ``quantum`` on that pair), ``classical`` on the joint eigenvalue
-    distributions of a commuting pair; all take mu, which only
-    ``needs_mu`` entries use. ``rows`` also takes the dict of values the
+    ``rows`` evaluates it on each row pair of two ``DensityStack``s and is
+    its one evaluator: ``evaluate`` and the public functions call it on
+    one-row stacks. ``classical`` evaluates it on the joint eigenvalue
+    distributions of a commuting pair. Both take mu, which only
+    ``needs_mu`` entries use; ``rows`` also takes the dict of values the
     quantifiers share on one pair of stacks (see ``evaluate_rows``).
-    ``quantum`` entries call the public functions by their module-global
-    names at call time, so rebinding such a name reaches every evaluation
-    of one pair.
     """
 
-    quantum: Callable[[DensityMatrix, DensityMatrix, Optional[float]], QuantifierResult]
     rows: Callable[[DensityStack, DensityStack, Optional[float], dict], np.ndarray]
     classical: Callable[[cdiv.Distribution, cdiv.Distribution, Optional[float]], QuantifierResult]
     needs_mu: bool = False
@@ -362,56 +338,44 @@ class QuantifierSpec:
 
 QUANTIFIERS = {
     "rel_entropy": QuantifierSpec(
-        lambda r, s, mu: relative_entropy(r, s),
         lambda r, s, mu, shared: _relative_entropies(r, s),
         lambda p, s, mu: cdiv.f_divergence(cdiv.kl(), p, s),
         contractive=True, transpose_invariant=True, jointly_convex=True, base_dependent=True,
     ),
     "qsd": QuantifierSpec(
-        lambda r, s, mu: quantum_skew_divergence(r, s, mu),
-        lambda r, s, mu, shared: _checked(
-            _mixture_divergences(r, s, *cdiv.skew_weights(cdiv.check_mu(mu)), shared)
-        ),
+        _mixture_rows(lambda mu: cdiv.skew_weights(cdiv.check_mu(mu))),
         lambda p, s, mu: cdiv.f_divergence(cdiv.skew(mu), p, s),
         needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
         plateau=1.0, maximum=1.0,
     ),
     "holevo_skew": QuantifierSpec(
-        lambda r, s, mu: holevo_skew_divergence(r, s, mu),
-        lambda r, s, mu, shared: _checked(
-            _mixture_divergences(r, s, *cdiv.holevo_weights(cdiv.check_mu(mu)), shared)
-        ),
+        _mixture_rows(lambda mu: cdiv.holevo_weights(cdiv.check_mu(mu))),
         lambda p, s, mu: cdiv.f_divergence(cdiv.hsd(mu), p, s),
         needs_mu=True, contractive=True, transpose_invariant=True, jointly_convex=True,
         plateau=1.0, maximum=1.0,
     ),
     "trace_dist": QuantifierSpec(
-        lambda r, s, mu: trace_distance(r, s),
         lambda r, s, mu, shared: _checked(_trace_distances(r, s)),
         lambda p, s, mu: cdiv.f_divergence(cdiv.vd(), p, s),
         contractive=True, transpose_invariant=True, plateau=1.0, maximum=1.0,
     ),
     "qjs": QuantifierSpec(
-        lambda r, s, mu: quantum_js(r, s),
-        lambda r, s, mu, shared: _checked(_mixture_divergences(r, s, *cdiv.js_weights(), shared)),
+        _mixture_rows(lambda mu: cdiv.js_weights()),
         lambda p, s, mu: cdiv.f_divergence(cdiv.js(), p, s),
         contractive=True, jointly_convex=True, base_dependent=True,
         plateau=math.log(2.0), maximum=math.log(2.0),
     ),
     "bures": QuantifierSpec(
-        lambda r, s, mu: bures_distance(r, s),
         lambda r, s, mu, shared: _checked(_bures(r, s, shared)),
         _root_infidelity,
         contractive=True, plateau=1.0, maximum=1.0,
     ),
     "hellinger": QuantifierSpec(
-        lambda r, s, mu: hellinger_distance(r, s),
         lambda r, s, mu, shared: _checked(_hellinger(r, s, shared)),
         _root_infidelity,
         contractive=True, plateau=1.0, maximum=1.0,
     ),
     "hs_dist": QuantifierSpec(
-        lambda r, s, mu: hs_distance(r, s),
         lambda r, s, mu, shared: _checked(_hs_distances(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.euclidean_distance(p, s) / math.sqrt(2.0)),
         jointly_convex=True, maximum=1.0,
@@ -419,7 +383,6 @@ QUANTIFIERS = {
         amplification_cap=lambda env_dim: math.sqrt(env_dim),
     ),
     "d_inf": QuantifierSpec(
-        lambda r, s, mu: d_infinity(r, s),
         lambda r, s, mu, shared: _checked(_d_infs(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.chebyshev_distance(p, s)),
         jointly_convex=True, maximum=1.0,
@@ -467,8 +430,9 @@ def quantifier(tag: str, mu: Optional[float] = None) -> QuantifierId:
 
 
 def evaluate(q: QuantifierId, rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
-    """Uniform entry point used by the suites and the CLI."""
-    return q.spec.quantum(rho, sigma, q.mu)
+    """``evaluate_rows`` on the one-row stacks of a pair of states."""
+    value = float(evaluate_rows(q, rho.stack(), sigma.stack())[0])
+    return QuantifierResult.infinite() if value == math.inf else QuantifierResult(value)
 
 
 def evaluate_rows(

@@ -68,10 +68,6 @@ def _states(halves: np.ndarray, dim: int) -> DensityStack:
     return validate_stack(m / tr[:, None, None])
 
 
-def _one_row(state) -> DensityStack:
-    return DensityStack(state.matrix[None], state.eigenvalues[None], state.eigenvectors[None])
-
-
 def _select(mask: np.ndarray, a: DensityStack, b: DensityStack) -> DensityStack:
     """Row i of ``a`` where ``mask[i]``, else of ``b`` (a one-row stack is
     broadcast)."""
@@ -136,8 +132,8 @@ def optimal_pair_search(
                 halves = np.where(first[:, None], x[:half], x[half:])
                 halves[j, coords % half] += moves
                 moved = _states(halves, dim)
-                firsts = _select(first, moved, _one_row(pair.first))
-                seconds = _select(first, _one_row(pair.second), moved)
+                firsts = _select(first, moved, pair.first.stack())
+                seconds = _select(first, pair.second.stack(), moved)
                 values = qdiv.evaluate_rows(q, firsts, seconds)
                 better = np.flatnonzero(values > value + 1e-14)
                 if not better.size:

@@ -24,7 +24,7 @@ from .errors import (
     NotPSD,
     TraceNotOne,
 )
-from .matcore import SpectralDecomposition, dagger
+from .matcore import dagger
 from .sampling import derive_rng, ginibre, haar_unitary, random_unit_vector
 
 TRACE_TOL = 1e-10
@@ -37,19 +37,20 @@ ORTHO_TOL_OPTIMIZER = 1e-6
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive semi-definite, unit-trace operator with cached eigen-data."""
+    """Positive semi-definite, unit-trace operator with cached eigen-data:
+    the fields of one row of a ``DensityStack``."""
 
-    matrix: np.ndarray
-    spectral: SpectralDecomposition
-    dim: int
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectral.eigenvalues
+    matrix: np.ndarray  # (d, d) Hermitian part
+    eigenvalues: np.ndarray  # (d,), descending
+    eigenvectors: np.ndarray  # (d, d), phase-fixed columns
 
     @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.spectral.eigenvectors
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+    def stack(self) -> DensityStack:
+        """This state as a one-row ``DensityStack``."""
+        return DensityStack(self.matrix[None], self.eigenvalues[None], self.eigenvectors[None])
 
     def __repr__(self) -> str:  # keep reprs short in reports/logs
         return f"DensityMatrix(dim={self.dim})"
@@ -66,8 +67,7 @@ class StatePair(NamedTuple):
 
 class DensityStack(NamedTuple):
     """Validated states as stacked arrays: the fields of ``DensityMatrix``,
-    each with a leading row axis, so code reading ``matrix``,
-    ``eigenvalues`` and ``eigenvectors`` takes a state or a stack."""
+    each with a leading row axis."""
 
     matrix: np.ndarray  # (N, d, d) Hermitian parts
     eigenvalues: np.ndarray  # (N, d), descending
@@ -78,8 +78,7 @@ class DensityStack(NamedTuple):
         return self.matrix.shape[-1]
 
     def state(self, i: int) -> DensityMatrix:
-        dec = SpectralDecomposition(self.eigenvalues[i], self.eigenvectors[i])
-        return DensityMatrix(self.matrix[i], dec, self.dim)
+        return DensityMatrix(self.matrix[i], self.eigenvalues[i], self.eigenvectors[i])
 
 
 def validate_stack(ms) -> DensityStack:

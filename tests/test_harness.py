@@ -81,9 +81,10 @@ class TestFinish:
         assert not report.passed
 
     def test_infinite_margins_are_violations(self):
+        # -inf is a violation; +inf is an inequality that holds.
         margins = [math.inf, -math.inf, 0.0]
         report = harness._finish("probe", "trace_dist", margins, [], 0, harness.TOL_MARGIN)
-        assert report.violations == 2
+        assert report.violations == 1
         assert report.to_dict()["worst_margin"] == "-inf"
 
 
@@ -504,9 +505,57 @@ class TestInfiniteMargins:
         assert all(d["margin"] == 0.0 for d in report.details)
         assert report.violations == 0 and report.passed
 
+    def test_infinite_before_finite_after_holds_in_dpi(self, monkeypatch):
+        # D(rho || sigma) = inf on the unsupported pair; channels that mix
+        # the supports make the image's value finite, a margin of +inf.
+        monkeypatch.setattr(harness, "_random_pair", _unsupported_pair)
+        report = dpi_suite(quantifier("rel_entropy"), trials=40, seed=3)
+        assert all(d["before"] == math.inf for d in report.details)
+        assert any(d["margin"] == math.inf for d in report.details)
+        assert report.violations == 0 and report.passed
+
     @pytest.mark.parametrize(
         "a, b, diff", [(math.inf, math.inf, 0.0), (math.inf, 1.0, math.inf), (2.0, 0.5, 1.5)]
     )
     def test_minus(self, a, b, diff):
         assert harness._minus(a, b) == diff
         assert math.isnan(harness._minus(math.nan, math.nan))
+
+
+
+# Every suite, with the quantifiers it takes, and whether it takes a dim_range.
+SUITES = [
+    (dpi_suite, _tags("trace_dist"), True),
+    (invariance_suite, _tags("trace_dist"), True),
+    (orthogonal_plateau_check, _tags("trace_dist"), True),
+    (joint_convexity_suite, _tags("hs_dist"), False),
+    (kadison_bound_check, (), True),
+    (purity_bound_check, (), True),
+    (stinespring_dpi_equivalence, _tags("trace_dist"), False),
+]
+RANGED_SUITES = [(suite, args) for suite, args, ranged in SUITES if ranged]
+
+
+class TestVacuousInputs:
+    """A suite cannot pass on no trials or on a range with no dims: it
+    refuses both before it draws a trial."""
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    @pytest.mark.parametrize(
+        "suite, args", [case[:2] for case in SUITES], ids=[s.__name__ for s, *_ in SUITES]
+    )
+    def test_trials_below_one_are_refused(self, suite, args, trials, monkeypatch):
+        draws = _count_draws(monkeypatch)
+        with pytest.raises(ValueError, match="trials"):
+            suite(*args, trials=trials, seed=1)
+        assert draws == []
+
+    @pytest.mark.parametrize("dim_range", [(1, 1), (5, 3), (0, 4)])
+    @pytest.mark.parametrize(
+        "suite, args", RANGED_SUITES, ids=[s.__name__ for s, _ in RANGED_SUITES]
+    )
+    def test_ranges_without_dims_are_refused(self, suite, args, dim_range, monkeypatch):
+        draws = _count_draws(monkeypatch)
+        with pytest.raises(ValueError, match="dim_range"):
+            suite(*args, trials=3, seed=1, dim_range=dim_range)
+        assert draws == []

@@ -153,6 +153,44 @@ class TestSchattenNorm:
         assert abs(matcore.schatten_norm(m, "trace") - sv.sum()) < 1e-10
 
 
+def _hermiticity_rows(dim, rng):
+    """Per Frobenius norm 0.5 and 3 (a tolerance scale of 1 and of the
+    norm): a Hermitian matrix, the same plus an anti-Hermitian part just
+    inside, just outside and far outside the 1e-10 relative tolerance."""
+    rows = []
+    for norm in (0.5, 3.0):
+        h = random_hermitian(dim, rng)
+        h *= norm / np.linalg.norm(h)
+        k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = (k - k.conj().T) / 2.0
+        # ||m - m^dag||_F = 2 t ||a||_F for m = h + t a.
+        a /= 2.0 * np.linalg.norm(a)
+        edge = matcore.HERMITICITY_TOL * max(1.0, norm)
+        rows += [h, h + edge * (1.0 - 1e-3) * a, h + edge * (1.0 + 1e-3) * a, h + 1e-3 * a]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 16])
+class TestStackedChecks:
+    def test_non_hermitian_rows_agree_with_is_hermitian(self, dim, rng):
+        ms = _hermiticity_rows(dim, rng)
+        want = [i for i, m in enumerate(ms) if not matcore.is_hermitian(m)]
+        assert want == [2, 3, 6, 7]
+        assert matcore.non_hermitian_rows(ms) == want
+        # Rows the screening bound decides alone, and rows it cannot.
+        assert matcore.non_hermitian_rows(ms[[0, 4]]) == []
+        assert matcore.non_hermitian_rows(ms[[0, 1, 4, 5]]) == []
+        assert matcore.non_hermitian_rows(ms[[0, 2, 4, 6]]) == [1, 3]
+        assert matcore.non_hermitian_rows(ms[[3, 0, 7]]) == [0, 2]
+
+    @pytest.mark.parametrize("kind", ["trace", "operator"])
+    def test_schatten_norms_rows_are_schatten_norm(self, dim, kind, rng):
+        ms = _hermiticity_rows(dim, rng)
+        for stack in (ms, ms[[0, 1, 4, 5]], ms[[2, 3, 6, 7]]):
+            got = [float(v).hex() for v in matcore.schatten_norms(stack, kind)]
+            assert got == [matcore.schatten_norm(m, kind).hex() for m in stack]
+
+
 def brute_force_partial_trace(m, d_s, d_e, keep):
     """Index-sum oracle, independent of the reshape/trace implementation."""
     if keep == "S":

@@ -282,21 +282,107 @@ class TestSharedStateValues:
 
     def test_shared_mixtures_are_kept_per_mu(self, monkeypatch):
         firsts, seconds = _stacks(3, 43)
+        mus, rows = (0.3, 0.7, 0.3), range(len(firsts.matrix))
+        # One-pair references, each validating its own mixture, made before
+        # the validations are counted.
+        wants = [
+            [holevo_skew_divergence(firsts.state(i), seconds.state(i), mu).value for i in rows]
+            for mu in mus
+        ]
         built = _counting(monkeypatch, "validate_stack")
         shared = {}
-        for mu in (0.3, 0.7, 0.3):
+        for mu, want in zip(mus, wants):
             value = qdiv.evaluate_rows(quantifier("holevo_skew", mu), firsts, seconds, shared)
-            for i in range(len(value)):
-                want = holevo_skew_divergence(firsts.state(i), seconds.state(i), mu).value
-                assert float(value[i]).hex() == want.hex()
+            assert [float(v).hex() for v in value] == [w.hex() for w in want]
         assert len(built) == 2
 
     def test_one_pair_evaluations_share_nothing(self, monkeypatch):
         rho, sigma = _pair(4, 44)
-        built = _counting(monkeypatch, "validate_density")
+        built = _counting(monkeypatch, "validate_stack")
         quantum_skew_divergence(rho, sigma, 0.3)
         holevo_skew_divergence(rho, sigma, 0.3)
         assert len(built) == 2
+
+
+# Each quantifier's public function, by tag.
+PUBLIC = {
+    "rel_entropy": relative_entropy,
+    "qsd": quantum_skew_divergence,
+    "holevo_skew": holevo_skew_divergence,
+    "trace_dist": trace_distance,
+    "qjs": quantum_js,
+    "bures": bures_distance,
+    "hellinger": hellinger_distance,
+    "hs_dist": hs_distance,
+    "d_inf": d_infinity,
+}
+
+
+def _rows_calls(monkeypatch):
+    """Record each ``evaluate_rows`` call: its arguments, then its rows once
+    it returns."""
+    calls = []
+    original = qdiv.evaluate_rows
+
+    def recorded(*args):
+        calls.append([args, None])
+        calls[-1][1] = original(*args)
+        return calls[-1][1]
+
+    monkeypatch.setattr(qdiv, "evaluate_rows", recorded)
+    return calls
+
+
+class TestOnePath:
+    """``evaluate`` and the nine public functions are ``evaluate_rows`` on
+    one-row stacks: one call each, whose row they return bit for bit."""
+
+    def test_every_tag_has_a_public_function(self):
+        assert tuple(PUBLIC) == ALL_TAGS
+
+    @pytest.mark.parametrize("pair", ["random", "orthogonal"])
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_one_rows_call_whose_row_is_returned(self, tag, pair, monkeypatch):
+        # The orthogonal pure pair makes rel_entropy +inf.
+        rho, sigma = _pair(3, 45) if pair == "random" else (P_PLUS, P_MINUS)
+        q = quantifier(tag, 0.3)
+        args = (rho, sigma, 0.3) if q.spec.needs_mu else (rho, sigma)
+        calls = _rows_calls(monkeypatch)
+        for call in (lambda: evaluate(q, rho, sigma), lambda: PUBLIC[tag](*args)):
+            calls.clear()
+            result = call()
+            assert len(calls) == 1
+            (called, firsts, seconds), rows = calls[0]
+            assert called == q
+            assert firsts.matrix.shape == seconds.matrix.shape == (1, rho.dim, rho.dim)
+            assert (firsts.matrix[0] == rho.matrix).all()
+            assert (seconds.matrix[0] == sigma.matrix).all()
+            assert isinstance(result, QuantifierResult)
+            if rows[0] == math.inf:
+                assert result == QuantifierResult.infinite()
+            else:
+                assert result.finite and result.value.hex() == float(rows[0]).hex()
+        infinite = tag == "rel_entropy" and pair == "orthogonal"
+        assert (result == QuantifierResult.infinite()) == infinite
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_dimension_mismatch(self, tag, monkeypatch):
+        rho, sigma = sample_state(2, seed=1), sample_state(3, seed=2)
+        args = (rho, sigma, 0.3) if tag in qdiv.NEEDS_MU else (rho, sigma)
+        calls = _rows_calls(monkeypatch)
+        with pytest.raises(DimensionMismatch):
+            PUBLIC[tag](*args)
+        with pytest.raises(DimensionMismatch):
+            evaluate(quantifier(tag, 0.3), rho, sigma)
+        # One call each, raising before it returns rows.
+        assert [rows for _, rows in calls] == [None, None]
+
+    @pytest.mark.parametrize("tag", qdiv.NEEDS_MU)
+    def test_mu_of_one_is_refused(self, tag, monkeypatch):
+        calls = _rows_calls(monkeypatch)
+        with pytest.raises(BadMu):
+            PUBLIC[tag](P_PLUS, P_MINUS, 1.0)
+        assert calls == []
 
 
 class TestHSDistance:
