@@ -21,7 +21,6 @@ from typing import Optional
 
 from . import harness, qdiv, search
 from .errors import DivergelabError
-from .harness import PropertyReport
 from .qdiv import QuantifierId
 from .states import DensityMatrix, load_fixture, state_from_dict, state_from_spec
 
@@ -126,7 +125,11 @@ def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, dict]:
         "converged": result.converged,
         "evaluations": result.evaluations,
     }
-    ok = result.value >= q.spec.maximum - 1e-3 and result.orthogonality_overlap <= 1e-3
+    ok = (
+        result.value >= q.spec.maximum - 1e-3
+        and result.orthogonality_overlap <= 1e-3
+        and (not q.spec.pure_maximizers or min(result.purities) >= 1 - 1e-3)
+    )
     line = (
         f"suite=optimal-pair q={q.label} dim={dim} value={result.value:.6f} "
         f"overlap={result.orthogonality_overlap:.2e} converged={result.converged}"
@@ -134,96 +137,42 @@ def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, dict]:
     return line, ok, record
 
 
-def _reports(reports: list[PropertyReport]) -> list[tuple[str, bool, dict]]:
+def _run(suite: harness.Suite, cfg: RunConfig) -> list[tuple[str, bool, dict]]:
+    """A (summary line, verdict, record) per report of one suite. A harness
+    suite is called through its public function, looked up when called (so
+    a rebound ``harness`` name sees it), and draws each trial once for the
+    whole quantifier list; optimal-pair runs one search per quantifier."""
+    qs = [qdiv.quantifier(tag, cfg.mu) for tag in cfg.quantifiers or suite.tags or ()]
+    if suite.function is None:
+        return [_optimal_pair(q, cfg) for q in qs]
+    kw = {"seed": cfg.seed, "trials": cfg.trials or suite.trials}
+    if suite.dims == harness.RANGE:
+        kw["dim_range"] = cfg.dims
+    result = getattr(harness, suite.function)(*([qs] if qs else []), **kw)
+    reports = result.all_reports() if isinstance(result, harness.SuiteReports) else [result]
     return [(r.summary_line(), r.passed, r.to_dict()) for r in reports]
 
 
-# The suites that draw their dims from a fixed range and ignore --dim.
-_FIXED_DIMS = {"joint-convexity": "2-4", "stinespring": "2-4"}
-
-# Per suite: the quantifier tags it runs when --q is not given (None for the
-# suites that take no quantifier), and its runner. A runner takes the
-# quantifier list, the config and the keyword arguments of the harness call,
-# and returns a (summary line, verdict, record) per report. A suite draws
-# each trial once for the whole list. Runners look each harness function up
-# when called, so a rebound ``harness`` name sees it.
-_SUITES = {
-    "dpi": (
-        qdiv.CONTRACTIVE,
-        lambda qs, cfg, kw: _reports(harness.dpi_suite(qs, dim_range=cfg.dims, **kw).all_reports()),
-    ),
-    "invariance": (
-        qdiv.ALL_TAGS,
-        lambda qs, cfg, kw: _reports(
-            harness.invariance_suite(qs, dim_range=cfg.dims, **kw).all_reports()
-        ),
-    ),
-    "optimal-pair": (
-        ("trace_dist",),
-        lambda qs, cfg, kw: [_optimal_pair(q, cfg) for q in qs],
-    ),
-    "plateau": (
-        tuple(qdiv.PLATEAU_VALUE),
-        lambda qs, cfg, kw: _reports(
-            harness.orthogonal_plateau_check(qs, dim_range=cfg.dims, **kw).all_reports()
-        ),
-    ),
-    "joint-convexity": (
-        qdiv.JOINTLY_CONVEX,
-        lambda qs, cfg, kw: _reports(harness.joint_convexity_suite(qs, **kw).all_reports()),
-    ),
-    "kadison": (
-        None,
-        lambda qs, cfg, kw: _reports([harness.kadison_bound_check(dim_range=cfg.dims, **kw)]),
-    ),
-    "purity-bound": (
-        None,
-        lambda qs, cfg, kw: _reports([harness.purity_bound_check(dim_range=cfg.dims, **kw)]),
-    ),
-    "stinespring": (
-        ("trace_dist",),
-        lambda qs, cfg, kw: _reports(harness.stinespring_dpi_equivalence(qs, **kw).all_reports()),
-    ),
-}
-
-
 def cmd_suite(args: argparse.Namespace) -> int:
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}", file=sys.stderr)
+    suite = harness.SUITES.get(args.suite)
+    if suite is None:
+        names = ", ".join(harness.SUITES)
+        print(f"unknown suite {args.suite!r}; choose from {names}", file=sys.stderr)
         return 2
     cfg = RunConfig(
-        command="suite",
-        quantifiers=args.q or [],
-        mu=args.mu,
-        dims=args.dim or RunConfig.dims,
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
+        command="suite", quantifiers=args.q or [], mu=args.mu, dims=args.dim or RunConfig.dims,
+        trials=args.trials, seed=args.seed, out=args.out, format=args.format,
     )
-    if args.dim is not None and args.suite in _FIXED_DIMS:
+    if args.dim is not None and isinstance(suite.dims, tuple):
         print(
-            f"note: suite {args.suite} draws its dims from {_FIXED_DIMS[args.suite]} "
-            "and ignores --dim",
+            f"note: suite {suite.name} draws its dims from {_range(suite.dims)} and ignores --dim",
             file=sys.stderr,
         )
-    default_tags, run = _SUITES[args.suite]
-    quantifiers = None
-    if default_tags is not None:
-        quantifiers = [qdiv.quantifier(tag, args.mu) for tag in args.q or default_tags]
-    # The trial count is passed only when given, so each suite's default
-    # stays in the harness.
-    kw = {"seed": cfg.seed} if cfg.trials is None else {"seed": cfg.seed, "trials": cfg.trials}
-    records: list[dict] = []
-    exit_code = 0
-    for line, passed, record in run(quantifiers, cfg, kw):
-        print(line)
-        if not passed:
-            exit_code = 1
-        records.append(record)
+    results = _run(suite, cfg)
+    print("\n".join(line for line, _, _ in results))
     if cfg.out:
-        _write_report_file(cfg, records)
-    return exit_code
+        _write_report_file(cfg, [record for _, _, record in results])
+    return 0 if all(passed for _, passed, _ in results) else 1
 
 
 def _csv_number(x) -> str:
@@ -306,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dim",
         type=_parse_dims,
         default=None,
-        help="dimension or range, e.g. 4 or 2-6 (default 2-6); optimal-pair takes one "
-        "dimension (default 2); joint-convexity and stinespring draw from 2-4 and "
-        "ignore it",
+        help=_dim_help(),
     )
     p_suite.add_argument("--trials", type=_trial_count, default=None)
     p_suite.add_argument("--seed", type=_seed, default=None)
@@ -323,23 +270,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _range(dims: tuple[int, int]) -> str:
+    return f"{dims[0]}-{dims[1]}"
+
+
+def _dim_help() -> str:
+    """--dim's help: the default range, the suites that search at one
+    dimension, and those that draw from a fixed range."""
+    fixed: dict = {}
+    for s in harness.SUITES.values():
+        if isinstance(s.dims, tuple):
+            fixed.setdefault(_range(s.dims), []).append(s.name)
+    one = [s.name for s in harness.SUITES.values() if s.dims == harness.ONE_DIM]
+    return "; ".join(
+        [f"dimension or range, e.g. 4 or 2-6 (default {_range(RunConfig.dims)})"]
+        + [f"{name} takes one dimension (default {RunConfig.dims[0]})" for name in one]
+        + [f"{' and '.join(names)} draw from {r} and ignore it" for r, names in fixed.items()]
+    )
+
+
 def _check_suite_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Flags a suite would not read are refused rather than dropped: ``kadison``
-    and ``purity-bound`` check hs_dist alone and take no --q, and
-    ``optimal-pair`` runs one search at one dimension, so it takes no --dim
-    range and no --trials count."""
-    if args.q and args.suite in _SUITES and _SUITES[args.suite][0] is None:
-        parser.error(f"argument --q: suite {args.suite} checks hs_dist only and takes no --q")
-    if args.suite != "optimal-pair":
+    """Flags a suite would not read are refused rather than dropped: a suite
+    that checks hs_dist alone takes no --q, and a suite that runs one search
+    at one dimension takes no --dim range and no --trials count."""
+    suite = harness.SUITES.get(args.suite)
+    if suite is None:
         return
-    if args.dim is not None and args.dim[0] < args.dim[1]:
+    if args.q and suite.tags is None:
+        parser.error(f"argument --q: suite {suite.name} checks hs_dist only and takes no --q")
+    if suite.dims == harness.ONE_DIM and args.dim is not None and args.dim[0] < args.dim[1]:
         parser.error(
-            f"argument --dim: suite optimal-pair searches at one dimension, "
-            f"got the range {args.dim[0]}-{args.dim[1]}"
+            f"argument --dim: suite {suite.name} searches at one dimension, "
+            f"got the range {_range(args.dim)}"
         )
-    if args.trials is not None:
+    if suite.trials is None and args.trials is not None:
         parser.error(
-            "argument --trials: suite optimal-pair runs one search and takes no trial count"
+            f"argument --trials: suite {suite.name} runs one search and takes no trial count"
         )
 
 
@@ -353,10 +319,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.seed = _resolve_seed(parser, args.seed)
     try:
         return args.func(args)
-    except DivergelabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DivergelabError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

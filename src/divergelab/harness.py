@@ -2,27 +2,23 @@
 orthogonal-pair plateau, closed-form counterexample families, Kadison and
 purity bounds, joint convexity, and the dilation-pipeline equivalence.
 
-Every suite is a pure function of its seed: per-trial streams derive from
-(seed, trial index), so reports are bit-identical across reruns and trial
-order. A suite that takes a quantifier takes a sequence of them too: each
-trial is drawn once, its channels built and applied once, and every
-quantifier is evaluated on it, with the same reports as one call per
-quantifier. Margins are signed with negative meaning violation; a trial counts
-as a violation when its margin falls below -tolerance or is nan; where a
-margin is a difference of two equal infinities, it is 0, and a margin of
-+inf (an infinite side above a finite one) holds. A suite refuses
-``trials`` below 1 and a ``dim_range`` other than 2 <= low <= high before
-it draws a trial.
+Every suite is one ``Suite`` entry of ``SUITES``, which the CLI reads too,
+and one runner runs them all. A trial is drawn from its own stream
+``derive_rng(seed, trial)``, unvalidated, so reports are bit-identical
+across reruns and trial order. Consecutive trials form a block, which
+closes once its states hold ``BLOCK_ENTRIES`` matrix entries; the suite's
+block kernel validates each stage of the block (the drawn pairs, their
+images under each channel, the mixtures) in one ``validate_stack`` call per
+dim and evaluates every quantifier in one ``qdiv.evaluate_rows`` call per
+dim, which gives every row the bits of a one-pair evaluation. A suite that
+takes a quantifier takes a sequence of them too, each trial drawn once for
+all, with the same reports as one call per quantifier.
 
-Every suite runs on stacks. A trial draws its dim, channels and state
-matrices from its stream, unvalidated. Consecutive trials form a block,
-which closes once its states hold ``BLOCK_ENTRIES`` matrix entries. The
-block then goes stage by stage (the drawn pairs, their images under each
-channel, the mixtures): each stage's states are grouped by dim, each group
-is validated in one ``validate_stack`` call, and each quantifier is
-evaluated in one ``qdiv.evaluate_rows`` call per group, which gives every
-row the bits of a one-pair evaluation. The values go back into per-trial
-rows, and one function turns the rows into reports.
+Margins are signed with negative meaning violation; a trial counts as a
+violation when its margin falls below -tolerance or is nan; where a margin
+is a difference of two equal infinities, it is 0, and a margin of +inf (an
+infinite side above a finite one) holds. A suite refuses ``trials`` below 1
+and a ``dim_range`` other than 2 <= low <= high before it draws a trial.
 """
 from __future__ import annotations
 
@@ -113,30 +109,17 @@ class PropertyReport:
 
 
 def _finish(
-    suite: str,
-    q_label: str,
-    margins: list[float],
-    details: list[dict],
-    seed: int,
-    tolerance: float,
-    expectation: str = ZERO_VIOLATIONS,
-    extra: Optional[dict] = None,
+    suite: str, q_label: str, margins: list[float], details: list[dict], seed: int,
+    tolerance: float, expectation: str = ZERO_VIOLATIONS, extra: Optional[dict] = None,
 ) -> PropertyReport:
     # A nan or -inf margin is a violation, +inf is not; a nan margin is the
     # worst wherever it falls in the trial order.
     violations = sum(1 for m in margins if not m >= -tolerance)
     worst = math.nan if any(math.isnan(m) for m in margins) else min(margins, default=0.0)
     return PropertyReport(
-        suite=suite,
-        quantifier=q_label,
-        trials=len(margins),
-        violations=violations,
-        worst_margin=worst,
-        seed=seed,
-        tolerance=tolerance,
-        expectation=expectation,
-        details=details,
-        extra=extra or {},
+        suite=suite, quantifier=q_label, trials=len(margins), violations=violations,
+        worst_margin=worst, seed=seed, tolerance=tolerance, expectation=expectation,
+        details=details, extra=extra or {},
     )
 
 
@@ -166,80 +149,6 @@ class InvarianceReports(NamedTuple):
         return [r for r in self if r is not None]
 
 
-# The suites defined only for part of the quantifiers: which part, and why
-# another quantifier is refused.
-_ADMITS = {
-    "plateau": (lambda spec: spec.plateau is not None, "has no common plateau value"),
-    "joint_convexity": (lambda spec: spec.jointly_convex, "is not in the jointly convex set"),
-    "stinespring": (
-        lambda spec: spec.contractive,
-        "is not contractive; pipeline monotonicity not expected",
-    ),
-}
-
-
-def _quantifier_list(q: Quantifiers, suite: str) -> list[QuantifierId]:
-    """The suite's quantifiers, each checked before the first trial is drawn."""
-    qs = [q] if isinstance(q, QuantifierId) else list(q)
-    if not qs:
-        raise ValueError("a suite needs at least one quantifier")
-    admits, why = _ADMITS.get(suite, (lambda spec: True, ""))
-    for qi in qs:
-        if not admits(qi.spec):
-            raise ValueError(f"{qi.tag} {why}")
-    return qs
-
-
-def _suite_reports(
-    suite: str, q: Quantifiers, qs: list, rows: list, seed: int, extra=None, traced=()
-) -> Union[PropertyReport, InvarianceReports, SuiteReports]:
-    """Reports from a suite's trial rows, one row per trial. A row holds one
-    (margin, detail) cell per quantifier in ``qs``; for invariance, a list of
-    cells, one per leg (none for transposition where it is not expected).
-    ``extra`` is the suite's own part of every report's extra, ``traced`` the
-    traced-out dim of each dpi trial. One quantifier gets its own entry back;
-    a sequence gets them all."""
-    entries = []
-    for i, qi in enumerate(qs):
-        cells = [row[i] for row in rows]
-        legs = [(suite, cells)]
-        if suite == "invariance":
-            legs = [
-                (f"invariance_{leg}", [c[k] for c in cells])
-                for k, leg in enumerate(InvarianceReports._fields)
-                if leg != "transpose" or qi.spec.transpose_invariant
-            ]
-        reports = []
-        for name, leg in legs:
-            details = [d for _, d in leg]
-            expectation, leg_extra = ZERO_VIOLATIONS, dict(extra or {})
-            if suite == "plateau":
-                values = [d["value"] for d in details]
-                leg_extra = {"target": qi.spec.plateau, "sample_std": float(np.std(values))}
-            elif suite == "stinespring":
-                # The same left-to-right max as a running maximum from 0.
-                leg_extra = {"max_gap": max([0.0] + [d["gap"] for d in details])}
-            elif suite == "dpi" and not qi.spec.contractive:
-                expectation = MAY_VIOLATE
-                # The amplification ratio after / before, where before is not ~0.
-                ratios = [
-                    (d["after"] / d["before"], d_e)
-                    for d, d_e in zip(details, traced)
-                    if d["before"] > 1e-12
-                ]
-                leg_extra["max_ratio"] = max([0.0] + [r for r, _ in ratios])
-                if leg_extra["channel_kind"] == "partial_trace":
-                    leg_extra["max_ratio_excess"] = max(
-                        [-math.inf] + [r - qi.spec.amplification_cap(d_e) for r, d_e in ratios]
-                    )
-            margins = [m for m, _ in leg]
-            reports.append(
-                _finish(name, qi.label, margins, details, seed, TOL_MARGIN, expectation, leg_extra)
-            )
-        entries.append(InvarianceReports(*reports) if suite == "invariance" else reports[0])
-    return entries[0] if isinstance(q, QuantifierId) else SuiteReports(entries)
-
-
 # Trials go through the stacked stages in blocks of consecutive trials; a
 # block closes once the states its trials drew hold this many matrix
 # entries: about fifty trials at d = 2-6, one at d >= 32. Blocks bound
@@ -249,7 +158,7 @@ def _suite_reports(
 BLOCK_ENTRIES = 2**11
 
 
-def _blocks(trials: int, seed: int, draw, dim_range: Optional[tuple[int, int]] = None):
+def _blocks(trials: int, seed: int, draw, dim_range: tuple[int, int]):
     """Lists of ``(t, trial)``: each trial drawn by ``draw`` from its own
     stream ``derive_rng(seed, t)``, consecutive trials gathered into blocks
     of ``BLOCK_ENTRIES``. ``draw`` returns the entry count of the states it
@@ -258,7 +167,7 @@ def _blocks(trials: int, seed: int, draw, dim_range: Optional[tuple[int, int]] =
     checked before the first draw."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if dim_range is not None and not 2 <= dim_range[0] <= dim_range[1]:
+    if not 2 <= dim_range[0] <= dim_range[1]:
         raise ValueError(f"dim_range needs 2 <= low <= high, got {tuple(dim_range)}")
     block, used = [], 0
     for t in range(trials):
@@ -417,12 +326,317 @@ def _contraction_channel(
     return dim, None, _trial_channel(dim, rng)
 
 
+# A suite's dims: drawn from the range that --dim gives (RANGE), from a
+# fixed range (a tuple), or one dim, searched at (ONE_DIM).
+RANGE, ONE_DIM = "range", "one"
+
+
+class Suite(NamedTuple):
+    """Everything the harness and the CLI know about one suite.
+
+    ``draw(rng, dims, **options)`` draws one trial from its stream, its dims
+    from ``dims``, and returns the entry count of its states and the trial.
+    ``block(block, qs)`` evaluates a block of ``(t, trial)`` on stacks and
+    returns a row per trial: a cell per quantifier in ``qs``, each a list of
+    ``(margin, detail, ...)`` legs. ``extra(qi, legs, **options)`` gives
+    the expectation and the extra of a leg's report from every trial's leg.
+    """
+
+    name: str  # as the CLI names it; its reports name it with "_" for "-"
+    function: Optional[str]  # the public function that runs it; None: a CLI search
+    tags: Optional[tuple[str, ...]]  # run without --q; None: hs_dist alone, no --q
+    trials: Optional[int]  # the default trial count; None: one search, no --trials
+    draw: Optional[Callable] = None
+    block: Optional[Callable] = None
+    dims: Union[str, tuple[int, int]] = RANGE
+    admits: Callable[[qdiv.QuantifierSpec], bool] = lambda spec: True
+    refusal: str = ""  # why a quantifier it does not admit is refused
+    legs: tuple[str, ...] = ()  # the legs of invariance; () for one report
+    extra: Callable = lambda qi, legs: (ZERO_VIOLATIONS, {})
+
+
+def _dpi_draw(rng, dims, channel_kind):
+    dim, d_e, channel = _contraction_channel(rng, channel_kind == "partial_trace", dims)
+    return 2 * dim * dim, (dim, d_e, channel, _random_pair(dim, rng))
+
+
+def _dpi_block(block, qs):
+    pairs = _Stage([pair for _, (*_, pair) in block])
+    images = _images(_built([channel for _, (_, _, channel, _) in block]), pairs)
+    values = [(pairs.values(qi), images.values(qi)) for qi in qs]
+    rows = []
+    for i, (t, (dim, d_e, channel, _)) in enumerate(block):
+        digest = _digest(*pairs.matrices(i))
+        detail = {"trial": t, "digest": digest, "channel": channel.label, "dim": dim}
+        row = []
+        for before, after in values:
+            b, a = before[i], after[i]
+            margin = _minus(b, a)
+            # The traced-out dim goes along for the amplification cap.
+            row.append([(margin, {**detail, "before": b, "after": a, "margin": margin}, d_e)])
+        rows.append(row)
+    return rows
+
+
+def _dpi_extra(qi, legs, channel_kind):
+    extra = {"channel_kind": channel_kind}
+    if qi.spec.contractive:
+        return ZERO_VIOLATIONS, extra
+    # The amplification ratio after / before, where before is not ~0.
+    ratios = [(d["after"] / d["before"], d_e) for _, d, d_e in legs if d["before"] > 1e-12]
+    extra["max_ratio"] = max([0.0] + [r for r, _ in ratios])
+    if channel_kind == "partial_trace":
+        caps = [r - qi.spec.amplification_cap(d_e) for r, d_e in ratios]
+        extra["max_ratio_excess"] = max([-math.inf] + caps)
+    return MAY_VIOLATE, extra
+
+
+def _invariance_draw(rng, dims):
+    dim = _dim(rng, dims)
+    pair = _random_pair(dim, rng)
+    unitary = channels.unitary_channel(haar_unitary(dim, rng))
+    env = int(rng.integers(2, 4))
+    return 2 * dim * dim, (dim, pair, unitary, _draw_state(env, "hs_mixed", rng))
+
+
+def _invariance_block(block, qs):
+    dims = [dim for _, (dim, *_) in block]
+    pairs = _Stage([pair for _, (_, pair, _, _) in block])
+    taus = _states([tau for _, (*_, tau) in block])
+    stages = [
+        pairs,
+        _images([unitary for _, (_, _, unitary, _) in block], pairs),
+        _images([channels.assignment_channel(*a) for a in zip(taus, dims)], pairs),
+    ]
+    if any(qi.spec.transpose_invariant for qi in qs):
+        stages.append(_images([channels.transpose_map(dim) for dim in dims], pairs))
+    # Per quantifier: the values before, then after each of its legs' maps.
+    values = [[st.values(qi) for st in stages[: 3 + qi.spec.transpose_invariant]] for qi in qs]
+    rows = []
+    for i, (t, _) in enumerate(block):
+        row = []
+        for qi, (before, *afters) in zip(qs, values):
+            b, factor = before[i], qi.spec.assignment_factor(taus[i])
+            detail = {"trial": t, "dim": dims[i], "before": b}
+            # What each leg expects after its map: the unitary and transpose
+            # legs the value before, the assignment leg that times its factor.
+            expected = [(b, {}), (factor * b, {"factor": factor}), (b, {})]
+            legs = [(a[i], e, x) for a, (e, x) in zip(afters, expected)]
+            row.append([(-abs(_minus(a, e)), {**detail, **x, "after": a}) for a, e, x in legs])
+        rows.append(row)
+    return rows
+
+
+def _plateau_draw(rng, dims):
+    dim = _dim(rng, dims)
+    return 2 * dim * dim, (dim, *_orthogonal_pair(dim, rng))
+
+
+def _plateau_block(block, qs):
+    pairs = _Stage([pair for _, (_, _, pair) in block])
+    values = [pairs.values(qi) for qi in qs]
+    rows = []
+    for i, (t, (dim, ranks, _)) in enumerate(block):
+        details = [{"trial": t, "dim": dim, "ranks": list(ranks), "value": v[i]} for v in values]
+        rows.append([[(-abs(d["value"] - qi.spec.plateau), d)] for qi, d in zip(qs, details)])
+    return rows
+
+
+def _plateau_extra(qi, legs):
+    values = [d["value"] for _, d in legs]
+    return ZERO_VIOLATIONS, {"target": qi.spec.plateau, "sample_std": float(np.std(values))}
+
+
+def _joint_convexity_draw(rng, dims):
+    dim = _dim(rng, dims)
+    count = int(rng.integers(2, 5))
+    weights = rng.random(count) + 1e-3
+    weights /= weights.sum()
+    return 2 * count * dim * dim, (dim, weights, [_random_pair(dim, rng) for _ in range(count)])
+
+
+def _joint_convexity_block(block, qs):
+    terms = _Stage([pair for _, (_, _, pairs) in block for pair in pairs])
+    # Each trial's terms, as indices of the terms stage.
+    spans, start = [], 0
+    for _, (_, weights, _) in block:
+        spans.append(range(start, start + len(weights)))
+        start += len(weights)
+    # Each trial's mixtures of its terms' first and of their second states.
+    mixtures = []
+    for (_, (_, weights, _)), span in zip(block, spans):
+        sides = zip(*map(terms.matrices, span))
+        mixtures.append(tuple(sum(w * m for w, m in zip(weights, side)) for side in sides))
+    mixed = _Stage(mixtures)
+    values = [(mixed.values(qi), terms.values(qi)) for qi in qs]
+    rows = []
+    for i, (t, (dim, weights, _)) in enumerate(block):
+        row = []
+        for lhs, term in values:
+            lhs = lhs[i]
+            rhs = float(sum(w * term[j] for w, j in zip(weights, spans[i])))
+            detail = {"trial": t, "dim": dim, "terms": len(weights), "lhs": lhs, "rhs": rhs}
+            row.append([(_minus(rhs, lhs), detail)])
+        rows.append(row)
+    return rows
+
+
+def _kadison_draw(rng, dims):
+    dim, _, channel = _contraction_channel(rng, rng.random() < 0.25, dims)
+    return 2 * dim * dim, (dim, channel, _random_pair(dim, rng))
+
+
+def _kadison_block(block, qs):
+    pairs = _Stage([pair for _, (_, _, pair) in block])
+    chs = _built([channel for _, (_, channel, _) in block])
+    befores, afters = pairs.values(qs[0]), _images(chs, pairs).values(qs[0])
+    rows = []
+    for i, (t, (dim, channel, _)) in enumerate(block):
+        before_sq, after_sq = befores[i] ** 2, afters[i] ** 2
+        unit_norm = float(np.max(np.abs(np.linalg.eigvalsh(apply_to_matrix(chs[i], np.eye(dim))))))
+        detail = {"trial": t, "dim": dim, "channel": channel.label, "unit_norm": unit_norm}
+        detail.update(before_sq=before_sq, after_sq=after_sq)
+        rows.append([[(unit_norm * before_sq - after_sq, detail)]])
+    return rows
+
+
+def _purity_bound_draw(rng, dims):
+    dim = _dim(rng, dims)
+    orthogonal = rng.random() < 0.4
+    pair = _orthogonal_pair(dim, rng)[1] if orthogonal else _random_pair(dim, rng)
+    return 2 * dim * dim, (dim, orthogonal, pair)
+
+
+def _purity_bound_block(block, qs):
+    pairs = _Stage([pair for _, (_, _, pair) in block])
+    distances = pairs.values(qs[0])
+    rows = []
+    for i, (t, (dim, orthogonal, _)) in enumerate(block):
+        pair = pairs.pair(i)
+        dist_sq = distances[i] ** 2
+        bound = 0.5 * (purity(pair.first) + purity(pair.second))
+        gap = bound - dist_sq
+        detail = {"trial": t, "dim": dim, "orthogonal": orthogonal, "bound": bound}
+        rows.append([[(-abs(gap) if orthogonal else gap, {**detail, "dist_sq": dist_sq})]])
+    return rows
+
+
+def _stinespring_draw(rng, dims):
+    dim = _dim(rng, dims)
+    env = int(rng.integers(2, 5))
+    ch = channels._random_cptp_rng(dim, env, rng)
+    return 2 * dim * dim, (dim, env, ch, _random_pair(dim, rng))
+
+
+def _stinespring_block(block, qs):
+    pairs = _Stage([pair for _, (*_, pair) in block])
+    direct = _images([ch for _, (_, _, ch, _) in block], pairs)
+    pipelines = [
+        channels.stinespring_pipeline(channels.stinespring_factorize(ch), dim)
+        for _, (dim, _, ch, _) in block
+    ]
+    staged = [pairs]
+    for k in range(3):
+        staged.append(_images([pipeline[k] for pipeline in pipelines], staged[-1]))
+    values = [(direct.values(qi), [stage.values(qi) for stage in staged]) for qi in qs]
+    rows = []
+    for i, (t, (dim, env, _, _)) in enumerate(block):
+        row = []
+        for direct_values, stage_values in values:
+            stages, direct_value = [v[i] for v in stage_values], direct_values[i]
+            gap = abs(_minus(stages[-1], direct_value))
+            decrements = [_minus(stages[k], stages[k + 1]) for k in range(3)]
+            # -gap makes a pipeline mismatch beyond the tolerance a
+            # violation on the same scale as a monotonicity failure.
+            detail = {"trial": t, "dim": dim, "env": env, "stages": stages, "direct": direct_value}
+            row.append([(min(min(decrements), -gap), {**detail, "gap": gap})])
+        rows.append(row)
+    return rows
+
+
+def _stinespring_extra(qi, legs):
+    # The same left-to-right max as a running maximum from 0.
+    return ZERO_VIOLATIONS, {"max_gap": max([0.0] + [d["gap"] for _, d in legs])}
+
+
+# Every suite, in the order the CLI lists them. optimal-pair is one search
+# per quantifier, which the CLI runs through ``search.optimal_pair_search``.
+SUITES = {
+    s.name: s
+    for s in (
+        Suite("dpi", "dpi_suite", qdiv.CONTRACTIVE, 500, _dpi_draw, _dpi_block, extra=_dpi_extra),
+        Suite(
+            "invariance", "invariance_suite", qdiv.ALL_TAGS, 100, _invariance_draw,
+            _invariance_block, legs=InvarianceReports._fields,
+        ),
+        Suite("optimal-pair", None, ("trace_dist",), None, dims=ONE_DIM),
+        Suite(
+            "plateau", "orthogonal_plateau_check", tuple(qdiv.PLATEAU_VALUE), 100, _plateau_draw,
+            _plateau_block, admits=lambda spec: spec.plateau is not None,
+            refusal="has no common plateau value", extra=_plateau_extra,
+        ),
+        Suite(
+            "joint-convexity", "joint_convexity_suite", qdiv.JOINTLY_CONVEX, 300,
+            _joint_convexity_draw, _joint_convexity_block, (2, 4),
+            admits=lambda spec: spec.jointly_convex, refusal="is not in the jointly convex set",
+        ),
+        Suite("kadison", "kadison_bound_check", None, 300, _kadison_draw, _kadison_block),
+        Suite(
+            "purity-bound", "purity_bound_check", None, 300, _purity_bound_draw,
+            _purity_bound_block,
+        ),
+        Suite(
+            "stinespring", "stinespring_dpi_equivalence", ("trace_dist",), 50, _stinespring_draw,
+            _stinespring_block, (2, 4), admits=lambda spec: spec.contractive,
+            refusal="is not contractive; pipeline monotonicity not expected",
+            extra=_stinespring_extra,
+        ),
+    )
+}
+
+
+def _quantifier_list(q: Quantifiers, suite: Suite) -> list[QuantifierId]:
+    """The suite's quantifiers, each checked before the first trial is drawn."""
+    qs = [q] if isinstance(q, QuantifierId) else list(q)
+    if not qs:
+        raise ValueError("a suite needs at least one quantifier")
+    for qi in qs:
+        if not suite.admits(qi.spec):
+            raise ValueError(f"{qi.tag} {suite.refusal}")
+    return qs
+
+
+def _run(suite: Suite, q: Quantifiers, trials: int, seed: int, dim_range=None, **options):
+    """The one runner: the quantifiers checked, the trials drawn in blocks
+    and evaluated by the suite's block kernel, the rows turned into reports.
+    ``dim_range`` is the range of a suite that takes one; ``options`` go to
+    its draw and extra. One quantifier gets its own entry back (an
+    ``InvarianceReports`` for invariance); a sequence gets them all."""
+    qs = _quantifier_list(q, suite)
+    dims = dim_range or suite.dims
+    rows = []
+    for block in _blocks(trials, seed, lambda rng: suite.draw(rng, dims, **options), dims):
+        rows += suite.block(block, qs)
+    base = suite.name.replace("-", "_")
+    names = [f"{base}_{leg}" for leg in suite.legs] or [base]
+    entries = []
+    for i, qi in enumerate(qs):
+        reports = []
+        # A leg a quantifier does not take (transposition where it is not
+        # expected) is missing from all its cells, so zip drops it.
+        for name, legs in zip(names, zip(*(row[i] for row in rows))):
+            expectation, extra = suite.extra(qi, legs, **options)
+            margins, details = [leg[0] for leg in legs], [leg[1] for leg in legs]
+            reports.append(
+                _finish(name, qi.label, margins, details, seed, TOL_MARGIN, expectation, extra)
+            )
+        entries.append(InvarianceReports(*reports) if suite.legs else reports[0])
+    return entries[0] if isinstance(q, QuantifierId) else SuiteReports(entries)
+
+
 def dpi_suite(
-    q: Quantifiers,
-    trials: int = 500,
-    dim_range: tuple[int, int] = (2, 6),
-    seed: int = 0,
-    channel_kind: str = "mixed",
+    q: Quantifiers, trials: int = SUITES["dpi"].trials, dim_range: tuple[int, int] = (2, 6),
+    seed: int = 0, channel_kind: str = "mixed",
 ) -> Union[PropertyReport, SuiteReports]:
     """Contraction margins S(rho, sigma) - S(channel rho, channel sigma).
 
@@ -432,256 +646,70 @@ def dpi_suite(
     amplification ratio is tracked against its exact cap (sqrt of the traced
     dimension for hs_dist, the traced dimension itself for d_inf).
     """
-    qs = _quantifier_list(q, "dpi")
-    partial_trace = channel_kind == "partial_trace"
-
-    def draw(rng):
-        dim, d_e, channel = _contraction_channel(rng, partial_trace, dim_range)
-        return 2 * dim * dim, (dim, d_e, channel, _random_pair(dim, rng))
-
-    rows, traced = [], []
-    for block in _blocks(trials, seed, draw, dim_range):
-        pairs = _Stage([pair for _, (*_, pair) in block])
-        images = _images(_built([channel for _, (_, _, channel, _) in block]), pairs)
-        before = [pairs.values(qi) for qi in qs]
-        after = [images.values(qi) for qi in qs]
-        for i, (t, (dim, d_e, channel, _)) in enumerate(block):
-            traced.append(d_e)
-            digest = _digest(*pairs.matrices(i))
-            detail = {"trial": t, "digest": digest, "channel": channel.label, "dim": dim}
-            row = []
-            for b, a in zip(before, after):
-                margin = _minus(b[i], a[i])
-                row.append((margin, {**detail, "before": b[i], "after": a[i], "margin": margin}))
-            rows.append(row)
-    return _suite_reports("dpi", q, qs, rows, seed, {"channel_kind": channel_kind}, traced)
+    return _run(SUITES["dpi"], q, trials, seed, dim_range, channel_kind=channel_kind)
 
 
 def invariance_suite(
-    q: Quantifiers, trials: int = 100, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
+    q: Quantifiers, trials: int = SUITES["invariance"].trials, seed: int = 0,
+    dim_range: tuple[int, int] = (2, 6),
 ) -> Union[InvarianceReports, SuiteReports]:
     """Unitary invariance for every quantifier; assignment behavior (exact
     invariance for the contractive set, the exact scaling factor for hs_dist
     and d_inf); transposition invariance where it is expected to hold."""
-    qs = _quantifier_list(q, "invariance")
-    run_transpose = any(qi.spec.transpose_invariant for qi in qs)
-
-    def draw(rng):
-        dim = _dim(rng, dim_range)
-        pair = _random_pair(dim, rng)
-        unitary = channels.unitary_channel(haar_unitary(dim, rng))
-        env = int(rng.integers(2, 4))
-        return 2 * dim * dim, (dim, pair, unitary, _draw_state(env, "hs_mixed", rng))
-
-    rows = []
-    for block in _blocks(trials, seed, draw, dim_range):
-        dims = [dim for _, (dim, *_) in block]
-        pairs = _Stage([pair for _, (_, pair, _, _) in block])
-        taus = _states([tau for _, (*_, tau) in block])
-        stages = [
-            pairs,
-            _images([unitary for _, (_, _, unitary, _) in block], pairs),
-            _images([channels.assignment_channel(*a) for a in zip(taus, dims)], pairs),
-        ]
-        if run_transpose:
-            stages.append(_images([channels.transpose_map(dim) for dim in dims], pairs))
-        # Per quantifier: the values before, then after each of its legs' maps.
-        values = [[st.values(qi) for st in stages[: 3 + qi.spec.transpose_invariant]] for qi in qs]
-        for i, (t, _) in enumerate(block):
-            row = []
-            for qi, (before, after_u, after_a, *after_t) in zip(qs, values):
-                before, after_u, after_a = before[i], after_u[i], after_a[i]
-                factor = qi.spec.assignment_factor(taus[i])
-                detail = {"trial": t, "dim": dims[i], "before": before}
-                legs = [
-                    (-abs(_minus(after_u, before)), {**detail, "after": after_u}),
-                    (
-                        -abs(_minus(after_a, factor * before)),
-                        {**detail, "factor": factor, "after": after_a},
-                    ),
-                ]
-                if after_t:
-                    after = after_t[0][i]
-                    legs.append((-abs(_minus(after, before)), {**detail, "after": after}))
-                row.append(legs)
-            rows.append(row)
-    return _suite_reports("invariance", q, qs, rows, seed)
+    return _run(SUITES["invariance"], q, trials, seed, dim_range)
 
 
 def orthogonal_plateau_check(
-    q: Quantifiers, trials: int = 100, dim_range: tuple[int, int] = (2, 6), seed: int = 0
+    q: Quantifiers, trials: int = SUITES["plateau"].trials, dim_range: tuple[int, int] = (2, 6),
+    seed: int = 0,
 ) -> Union[PropertyReport, SuiteReports]:
     """Evaluate on random orthogonal pairs of assorted ranks: the bounded
     contractive quantifiers must sit at one common maximum value."""
-    qs = _quantifier_list(q, "plateau")
-
-    def draw(rng):
-        dim = _dim(rng, dim_range)
-        return 2 * dim * dim, (dim, *_orthogonal_pair(dim, rng))
-
-    rows = []
-    for block in _blocks(trials, seed, draw, dim_range):
-        pairs = _Stage([pair for _, (_, _, pair) in block])
-        values = [pairs.values(qi) for qi in qs]
-        for i, (t, (dim, ranks, _)) in enumerate(block):
-            row = []
-            for qi, value in zip(qs, values):
-                detail = {"trial": t, "dim": dim, "ranks": list(ranks), "value": value[i]}
-                row.append((-abs(value[i] - qi.spec.plateau), detail))
-            rows.append(row)
-    return _suite_reports("plateau", q, qs, rows, seed)
+    return _run(SUITES["plateau"], q, trials, seed, dim_range)
 
 
 def joint_convexity_suite(
-    q: Quantifiers, trials: int = 300, seed: int = 0
+    q: Quantifiers, trials: int = SUITES["joint-convexity"].trials, seed: int = 0
 ) -> Union[PropertyReport, SuiteReports]:
     """S(sum mu_k rho_k, sum mu_k sigma_k) <= sum mu_k S(rho_k, sigma_k)."""
-    qs = _quantifier_list(q, "joint_convexity")
-
-    def draw(rng):
-        dim = int(rng.integers(2, 5))
-        count = int(rng.integers(2, 5))
-        weights = rng.random(count) + 1e-3
-        weights /= weights.sum()
-        pairs = [_random_pair(dim, rng) for _ in range(count)]
-        return 2 * count * dim * dim, (dim, weights, pairs)
-
-    rows = []
-    for block in _blocks(trials, seed, draw):
-        terms = _Stage([pair for _, (_, _, pairs) in block for pair in pairs])
-        # Each trial's terms, as indices of the terms stage.
-        spans, start = [], 0
-        for _, (_, weights, _) in block:
-            spans.append(range(start, start + len(weights)))
-            start += len(weights)
-        mixed = _Stage(
-            [
-                tuple(
-                    sum(w * m for w, m in zip(weights, side))
-                    for side in zip(*map(terms.matrices, span))
-                )
-                for (_, (_, weights, _)), span in zip(block, spans)
-            ]
-        )
-        values = [(mixed.values(qi), terms.values(qi)) for qi in qs]
-        for i, (t, (dim, weights, _)) in enumerate(block):
-            row = []
-            for lhs, term in values:
-                lhs = lhs[i]
-                rhs = float(sum(w * term[j] for w, j in zip(weights, spans[i])))
-                detail = {"trial": t, "dim": dim, "terms": len(weights)}
-                row.append((_minus(rhs, lhs), {**detail, "lhs": lhs, "rhs": rhs}))
-            rows.append(row)
-    return _suite_reports("joint_convexity", q, qs, rows, seed)
+    return _run(SUITES["joint-convexity"], q, trials, seed)
 
 
 def kadison_bound_check(
-    trials: int = 300, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
+    trials: int = SUITES["kadison"].trials, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
 ) -> PropertyReport:
     """Squared Hilbert-Schmidt distance under a channel against the operator
     norm of the channel's action on the identity (non-unital channels
     included; partial traces realize the extreme growth)."""
-    q = QuantifierId("hs_dist")
-
-    def draw(rng):
-        dim, _, channel = _contraction_channel(rng, rng.random() < 0.25, dim_range)
-        return 2 * dim * dim, (dim, channel, _random_pair(dim, rng))
-
-    rows = []
-    for block in _blocks(trials, seed, draw, dim_range):
-        pairs = _Stage([pair for _, (_, _, pair) in block])
-        chs = _built([channel for _, (_, channel, _) in block])
-        images = _images(chs, pairs)
-        befores, afters = pairs.values(q), images.values(q)
-        for i, (t, (dim, channel, _)) in enumerate(block):
-            before, after = befores[i], afters[i]
-            unit_norm = float(
-                np.max(np.abs(np.linalg.eigvalsh(apply_to_matrix(chs[i], np.eye(dim)))))
-            )
-            margin = unit_norm * before**2 - after**2
-            detail = {"trial": t, "dim": dim, "channel": channel.label, "unit_norm": unit_norm}
-            rows.append([(margin, {**detail, "before_sq": before**2, "after_sq": after**2})])
-    return _suite_reports("kadison", q, [q], rows, seed)
+    return _run(SUITES["kadison"], QuantifierId("hs_dist"), trials, seed, dim_range)
 
 
 def purity_bound_check(
-    trials: int = 300, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
+    trials: int = SUITES["purity-bound"].trials, seed: int = 0, dim_range: tuple[int, int] = (2, 6)
 ) -> PropertyReport:
     """Squared Hilbert-Schmidt distance against the mean purity.
 
     Random pairs must satisfy the bound down to -1e-10; orthogonal pairs
-    (40% of trials) must additionally saturate it within 1e-9.
+    (40% of trials) must additionally saturate it within 1e-9: that rule,
+    not the margin's, counts the violations.
     """
-    q = QuantifierId("hs_dist")
-
-    def draw(rng):
-        dim = _dim(rng, dim_range)
-        orthogonal = rng.random() < 0.4
-        pair = _orthogonal_pair(dim, rng)[1] if orthogonal else _random_pair(dim, rng)
-        return 2 * dim * dim, (dim, orthogonal, pair)
-
-    rows = []
-    violations = 0
-    for block in _blocks(trials, seed, draw, dim_range):
-        pairs = _Stage([pair for _, (_, _, pair) in block])
-        distances = pairs.values(q)
-        for i, (t, (dim, orthogonal, _)) in enumerate(block):
-            pair = pairs.pair(i)
-            dist_sq = distances[i] ** 2
-            bound = 0.5 * (purity(pair.first) + purity(pair.second))
-            gap = bound - dist_sq
-            # Saturation is required on orthogonal pairs, only the bound
-            # otherwise; a nan gap satisfies neither.
-            margin = -abs(gap) if orthogonal else gap
-            if not ((not orthogonal or abs(gap) <= TOL_MARGIN) and gap >= -TOL_CLOSED_FORM):
-                violations += 1
-            detail = {"trial": t, "dim": dim, "orthogonal": orthogonal}
-            rows.append([(margin, {**detail, "bound": bound, "dist_sq": dist_sq})])
-    report = _suite_reports("purity_bound", q, [q], rows, seed)
-    report.violations = violations
+    report = _run(SUITES["purity-bound"], QuantifierId("hs_dist"), trials, seed, dim_range)
+    # A nan gap satisfies neither rule.
+    gaps = [(d["orthogonal"], d["bound"] - d["dist_sq"]) for d in report.details]
+    report.violations = sum(
+        not ((not orthogonal or abs(gap) <= TOL_MARGIN) and gap >= -TOL_CLOSED_FORM)
+        for orthogonal, gap in gaps
+    )
     return report
 
 
 def stinespring_dpi_equivalence(
-    q: Quantifiers, trials: int = 50, seed: int = 0
+    q: Quantifiers, trials: int = SUITES["stinespring"].trials, seed: int = 0
 ) -> Union[PropertyReport, SuiteReports]:
     """Factorize random channels into assignment, unitary and partial trace;
     the staged evaluation must match the direct one and, for the contractive
     set, decrease monotonically along the pipeline."""
-    qs = _quantifier_list(q, "stinespring")
-
-    def draw(rng):
-        dim = int(rng.integers(2, 5))
-        env = int(rng.integers(2, 5))
-        ch = channels._random_cptp_rng(dim, env, rng)
-        return 2 * dim * dim, (dim, env, ch, _random_pair(dim, rng))
-
-    rows = []
-    for block in _blocks(trials, seed, draw):
-        pairs = _Stage([pair for _, (*_, pair) in block])
-        direct = _images([ch for _, (_, _, ch, _) in block], pairs)
-        pipelines = [
-            channels.stinespring_pipeline(channels.stinespring_factorize(ch), dim)
-            for _, (dim, _, ch, _) in block
-        ]
-        staged = [pairs]
-        for k in range(3):
-            staged.append(_images([pipeline[k] for pipeline in pipelines], staged[-1]))
-        values = [(direct.values(qi), [stage.values(qi) for stage in staged]) for qi in qs]
-        for i, (t, (dim, env, _, _)) in enumerate(block):
-            row = []
-            for direct_values, stage_values in values:
-                stages = [v[i] for v in stage_values]
-                gap = abs(_minus(stages[-1], direct_values[i]))
-                decrements = [_minus(stages[k], stages[k + 1]) for k in range(3)]
-                # -gap makes a pipeline mismatch beyond the tolerance a
-                # violation on the same scale as a monotonicity failure.
-                detail = {"trial": t, "dim": dim, "env": env, "stages": stages}
-                row.append(
-                    (min(min(decrements), -gap), {**detail, "direct": direct_values[i], "gap": gap})
-                )
-            rows.append(row)
-    return _suite_reports("stinespring", q, qs, rows, seed)
+    return _run(SUITES["stinespring"], q, trials, seed)
 
 
 class CounterexampleRecord(NamedTuple):

@@ -330,6 +330,7 @@ class QuantifierSpec:
     base_dependent: bool = False  # the value depends on the log base
     plateau: Optional[float] = None  # common value on every orthogonal pair
     maximum: Optional[float] = None  # over all pairs; None when unbounded
+    pure_maximizers: bool = False  # the maximum needs both states pure
     # Exact scaling under tensoring with a fixed state tau.
     assignment_factor: Callable[[DensityMatrix], float] = lambda tau: 1.0
     # Cap on after / before under a partial trace over an env_dim factor.
@@ -378,7 +379,7 @@ QUANTIFIERS = {
     "hs_dist": QuantifierSpec(
         lambda r, s, mu, shared: _checked(_hs_distances(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.euclidean_distance(p, s) / math.sqrt(2.0)),
-        jointly_convex=True, maximum=1.0,
+        jointly_convex=True, maximum=1.0, pure_maximizers=True,
         assignment_factor=lambda tau: math.sqrt(purity(tau)),
         amplification_cap=lambda env_dim: math.sqrt(env_dim),
     ),

@@ -35,10 +35,11 @@ ORTHO_TOL_VALIDATION = 1e-8
 ORTHO_TOL_OPTIMIZER = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive semi-definite, unit-trace operator with cached eigen-data:
-    the fields of one row of a ``DensityStack``."""
+    the fields of one row of a ``DensityStack``. States compare and hash by
+    identity."""
 
     matrix: np.ndarray  # (d, d) Hermitian part
     eigenvalues: np.ndarray  # (d,), descending

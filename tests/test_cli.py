@@ -5,10 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from divergelab import cli
 from divergelab.cli import RunConfig, _write_report_file, main
 from divergelab.harness import PropertyReport
+from divergelab.search import OptimizationResult
+from divergelab.states import StatePair, pure_state, validate_density
 
 
 def run(argv, capsys):
@@ -184,6 +188,21 @@ class TestSuite:
         )
         assert code == 0
         assert "suite=optimal-pair q=trace_dist dim=2" in out
+
+    @pytest.mark.parametrize("tag, code", [("hs_dist", 1), ("d_inf", 0)])
+    def test_optimal_pair_verdict_needs_pure_maximizers_for_hs_dist(
+        self, tag, code, monkeypatch, capsys
+    ):
+        # A maximizer at the maximum value, orthogonal, with one state of
+        # purity 0.5: a d_inf maximum, but not an hs_dist one.
+        rho, sigma = pure_state([1, 0, 0]), validate_density(np.diag([0.0, 0.5, 0.5]))
+
+        def search(q, dim, seed):
+            return OptimizationResult(StatePair(rho, sigma), 1.0, 0.0, (1.0, 0.5), 1, True, 10)
+
+        monkeypatch.setattr(cli.search, "optimal_pair_search", search)
+        argv = ["suite", "optimal-pair", "--q", tag, "--dim", "3", "--seed", "9"]
+        assert run(argv, capsys)[0] == code
 
     def test_stinespring_suite(self, capsys):
         code, out, _ = run(

@@ -473,6 +473,50 @@ class TestBlocks:
         assert sum(stacks) > 4 * trials and len(stacks) < trials
 
 
+# Every suite of the table, dpi at both channel kinds.
+REPLAY_CASES = [
+    (name, {"channel_kind": kind} if name == "dpi" else {})
+    for name, suite in harness.SUITES.items()
+    if suite.block is not None
+    for kind in (("mixed", "partial_trace") if name == "dpi" else (None,))
+]
+
+
+class TestNoStateAcrossBlocks:
+    """A trial's row depends on its own draw alone: the one-trial block of
+    trial t, drawn from ``derive_rng(seed, t)`` with no draw before it, gives
+    the row that trial t has in a full run."""
+
+    @pytest.mark.parametrize(
+        "name, options", REPLAY_CASES, ids=[" ".join([n, *o.values()]) for n, o in REPLAY_CASES]
+    )
+    def test_a_trial_replays_alone(self, name, options):
+        suite = harness.SUITES[name]
+        # Every quantifier the suite admits; the hs_dist suites take hs_dist.
+        tags = [t for t in qdiv.ALL_TAGS if suite.admits(qdiv.QUANTIFIERS[t])]
+        qs = _tags(*tags, tags[0]) if suite.tags else _tags("hs_dist")
+        dims = (2, 6) if suite.dims == harness.RANGE else suite.dims
+        seed, trials = 97, 60
+
+        def draw(rng):
+            return suite.draw(rng, dims, **options)
+
+        blocks = harness._blocks(trials, seed, draw, dims)
+        full = [row for block in blocks for row in suite.block(block, qs)]
+        assert len(full) == trials
+        kw = {"trials": trials, "seed": seed, **options}
+        if suite.dims == harness.RANGE:
+            kw["dim_range"] = dims
+        result = getattr(harness, suite.function)(*([qs] if suite.tags else []), **kw)
+        reports = result.all_reports() if isinstance(result, SuiteReports) else [result]
+        for t in (0, 7, 33, trials - 1):
+            (row,) = suite.block([(t, draw(derive_rng(seed, t))[1])], qs)
+            assert json.dumps(row, sort_keys=True) == json.dumps(full[t], sort_keys=True), t
+            # The row's details are those of the suite's reports.
+            details = [leg[1] for cell in row for leg in cell]
+            assert details == [r.details[t] for r in reports]
+
+
 def _unsupported_pair(dim, rng):
     """rho on the first basis vector, sigma on the others: D(rho || sigma)
     is +inf, and stays so under every unitary."""

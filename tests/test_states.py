@@ -173,6 +173,14 @@ class TestSampleState:
         with pytest.raises(BadRank):
             sample_state(3, "rank_limited", seed=0, rank=7)
 
+    def test_states_compare_and_hash_by_identity(self):
+        a = sample_state(2, seed=1)
+        b = sample_state(2, seed=1)
+        assert np.array_equal(a.matrix, b.matrix)
+        assert a == a and a != b and not a == b
+        keys = {a: "a", b: "b"}
+        assert len(keys) == 2 and keys[a] == "a" and keys[b] == "b"
+
 
 class TestOrthogonality:
     def test_projector_pair(self):
