@@ -201,6 +201,10 @@ def f_divergence(
 # when a pair commutes.
 
 def bhattacharyya_coefficient(p: Distribution, q: Distribution) -> float:
+    """sum_i sqrt(p_i q_i) over every probability. The classical forms of
+    the Bures and Hellinger distances in :mod:`divergelab.qdiv` zero the
+    probabilities at or below the quantum support threshold 1e-10 first,
+    as their quantum square roots zero those eigenvalues."""
     if p.size != q.size:
         raise SizeMismatch(f"sizes differ: {p.size} vs {q.size}")
     return float(np.sum(np.sqrt(p.probs * q.probs)))

@@ -354,6 +354,17 @@ class Suite(NamedTuple):
     legs: tuple[str, ...] = ()  # the legs of invariance; () for one report
     extra: Callable = lambda qi, legs: (ZERO_VIOLATIONS, {})
 
+    def admitted(self, q: Quantifiers) -> list[QuantifierId]:
+        """The suite's quantifiers, each checked before the first trial is
+        drawn or the first search is run."""
+        qs = [q] if isinstance(q, QuantifierId) else list(q)
+        if not qs:
+            raise ValueError("a suite needs at least one quantifier")
+        for qi in qs:
+            if not self.admits(qi.spec):
+                raise ValueError(f"{qi.tag} {self.refusal}")
+        return qs
+
 
 def _dpi_draw(rng, dims, channel_kind):
     dim, d_e, channel = _contraction_channel(rng, channel_kind == "partial_trace", dims)
@@ -569,7 +580,11 @@ SUITES = {
             "invariance", "invariance_suite", qdiv.ALL_TAGS, 100, _invariance_draw,
             _invariance_block, legs=InvarianceReports._fields,
         ),
-        Suite("optimal-pair", None, ("trace_dist",), None, dims=ONE_DIM),
+        Suite(
+            "optimal-pair", None, ("trace_dist",), None, dims=ONE_DIM,
+            admits=lambda spec: spec.maximum is not None,
+            refusal="is unbounded; maximization is not meaningful",
+        ),
         Suite(
             "plateau", "orthogonal_plateau_check", tuple(qdiv.PLATEAU_VALUE), 100, _plateau_draw,
             _plateau_block, admits=lambda spec: spec.plateau is not None,
@@ -595,24 +610,13 @@ SUITES = {
 }
 
 
-def _quantifier_list(q: Quantifiers, suite: Suite) -> list[QuantifierId]:
-    """The suite's quantifiers, each checked before the first trial is drawn."""
-    qs = [q] if isinstance(q, QuantifierId) else list(q)
-    if not qs:
-        raise ValueError("a suite needs at least one quantifier")
-    for qi in qs:
-        if not suite.admits(qi.spec):
-            raise ValueError(f"{qi.tag} {suite.refusal}")
-    return qs
-
-
 def _run(suite: Suite, q: Quantifiers, trials: int, seed: int, dim_range=None, **options):
     """The one runner: the quantifiers checked, the trials drawn in blocks
     and evaluated by the suite's block kernel, the rows turned into reports.
     ``dim_range`` is the range of a suite that takes one; ``options`` go to
     its draw and extra. One quantifier gets its own entry back (an
     ``InvarianceReports`` for invariance); a sequence gets them all."""
-    qs = _quantifier_list(q, suite)
+    qs = suite.admitted(q)
     dims = dim_range or suite.dims
     rows = []
     for block in _blocks(trials, seed, lambda rng: suite.draw(rng, dims, **options), dims):

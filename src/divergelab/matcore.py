@@ -53,17 +53,26 @@ def non_hermitian_rows(ms: np.ndarray, tol: float = HERMITICITY_TOL) -> list[int
     """The indices of the matrices of a stack ``(N, n, n)`` that fail
     ``is_hermitian``.
 
-    Stacked norms sum in another order than ``np.linalg.norm``, so a bound
-    screens first: ``sqrt(2) n`` times the largest real or imaginary part of
-    ``m - m^dag`` bounds its Frobenius norm, and ``tol`` bounds
-    ``tol * max(1, ||m||_F)``. When every matrix passes it by a margin far
-    above roundoff, all are Hermitian; otherwise ``is_hermitian`` decides
-    each one.
+    Stacked norms sum in another order than ``np.linalg.norm``, so they
+    decide only with a margin. First a bound screens the whole stack:
+    ``sqrt(2) n`` times the largest real or imaginary part of ``m - m^dag``
+    bounds its Frobenius norm, and ``tol`` bounds ``tol * max(1, ||m||_F)``;
+    when every matrix passes it by a margin far above roundoff, all are
+    Hermitian. Otherwise the stacked norms decide each matrix whose
+    ``||m - m^dag||_F`` lies more than 1e-9 (relative) from
+    ``tol * max(1, ||m||_F)``, and ``is_hermitian`` decides the rest.
     """
-    parts = np.abs(np.subtract(ms, dagger(ms), order="C").view(np.float64))
-    if parts.max(initial=0.0) * (math.sqrt(2.0) * ms.shape[-1] * (1.0 + 1e-9)) < tol:
+    diffs = np.subtract(ms, dagger(ms), order="C")
+    if np.abs(diffs.view(np.float64)).max(initial=0.0) * (
+        math.sqrt(2.0) * ms.shape[-1] * (1.0 + 1e-9)
+    ) < tol:
         return []
-    return [i for i, m in enumerate(ms) if not is_hermitian(m, tol)]
+    off = np.linalg.norm(diffs, axis=(-2, -1))
+    bound = tol * np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))
+    failing = off > bound
+    for i in np.flatnonzero(np.abs(off - bound) <= 1e-9 * bound).tolist():
+        failing[i] = not is_hermitian(ms[i], tol)
+    return np.flatnonzero(failing).tolist()
 
 
 @dataclass(frozen=True)
@@ -89,9 +98,13 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
         return vectors.copy()
     v = vectors.reshape(-1, n, n)
     mags = np.abs(v)
-    first = (mags > 1e-8 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
-    at = (np.arange(len(v))[:, None], first, np.arange(n))
-    size, pivot = mags[at], v[at]
+    above = mags > 1e-8 * mags.max(axis=1, keepdims=True)
+    if above[:, 0].all():
+        # Row 0 qualifies in every column, so it holds every pivot.
+        size, pivot = mags[:, 0], v[:, 0]
+    else:
+        at = (np.arange(len(v))[:, None], above.argmax(axis=1), np.arange(n))
+        size, pivot = mags[at], v[at]
     if size.all():
         factor = size / pivot
     else:
@@ -103,13 +116,17 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(fixed.reshape(vectors.shape))
 
 
-def hermitized_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hermitized_eig(ms: np.ndarray, vectors: bool = True):
     """The Hermitian parts ``(m + m^dag) / 2`` of a stack ``(N, n, n)`` of
     matrices, with their eigenvalues (descending) and phase-fixed
     eigenvectors as ``SpectralDecomposition`` holds them. It checks
     nothing: ``eig_hermitian`` and state validation check their input
-    first. Each matrix gets the bits it gets alone."""
+    first. Each matrix gets the bits it gets alone. With ``vectors=False``
+    the eigenvalues come from ``eigvalsh`` and None stands for the
+    eigenvectors."""
     h = (ms + dagger(ms)) / 2.0
+    if not vectors:
+        return h, np.linalg.eigvalsh(h)[:, ::-1], None
     w, v = np.linalg.eigh(h)
     order = (-w).argsort(axis=1, kind="stable")
     rows = np.arange(len(w))[:, None]
@@ -156,7 +173,7 @@ def schatten_norms(ms: np.ndarray, kind: SchattenKind) -> np.ndarray:
 def _abs_spectra(ms: np.ndarray) -> np.ndarray:
     """|eigenvalues| of the Hermitian matrices of a stack, singular values
     of the others."""
-    other = [i for i, m in enumerate(ms) if not is_hermitian(m)]
+    other = non_hermitian_rows(ms)
     if not other:
         return np.abs(np.linalg.eigvalsh((ms + dagger(ms)) / 2.0))
     if len(other) == len(ms):

@@ -8,7 +8,9 @@ explicit support containment check inside the relative entropy. Natural
 logarithms throughout. Restricted to commuting pairs, each quantifier
 coincides with a classical expression on the joint eigenvalue
 distributions, which ``classical_reduction`` evaluates through
-:mod:`divergelab.cdiv` as an independent cross-check. Every fact the
+:mod:`divergelab.cdiv` as an independent cross-check. Bures and Hellinger
+drop the eigenvalues at or below ``SUPPORT_TOL`` from their square roots,
+and their classical forms drop those probabilities alike. Every fact the
 package uses about a quantifier, classical form included, lives in its
 ``QUANTIFIERS`` entry.
 """
@@ -104,7 +106,9 @@ def _relative_entropies(rho, sigma):
     values = np.empty(len(keys))
     for key in groups:
         rows = keys == key
-        values[rows] = _relative_entropy_block(*(a[rows] for a in args), *divmod(key, n))
+        # A one-row stack is broadcast against the group's rows.
+        group = (a if len(a) == 1 else a[rows] for a in args)
+        values[rows] = _relative_entropy_block(*group, *divmod(key, n))
     return values
 
 
@@ -223,8 +227,11 @@ def hellinger_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierRe
 
 
 def _hs_distances(rho, sigma):
-    # np.linalg.norm of each matrix: its stacked form sums in another order.
-    return np.array([np.linalg.norm(m) for m in rho.matrix - sigma.matrix]) / _SQRT2
+    # The Frobenius norm of each difference as np.linalg.norm sums it: the
+    # dot products of its real parts and of its imaginary parts.
+    diff = rho.matrix - sigma.matrix
+    flat = diff.reshape(len(diff), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) / _SQRT2
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> QuantifierResult:
@@ -305,7 +312,12 @@ def classical_reduction(
 
 
 def _root_infidelity(p: cdiv.Distribution, s: cdiv.Distribution, mu) -> QuantifierResult:
-    infidelity = QuantifierResult.of(1.0 - cdiv.bhattacharyya_coefficient(p, s)).value
+    """The classical form of bures and hellinger: sqrt(1 - BC(p, s)), with
+    the probabilities at or below ``SUPPORT_TOL`` zeroed as ``_psd_roots``
+    zeroes those eigenvalues, so the two forms agree on commuting pairs."""
+    tol = matcore.SUPPORT_TOL
+    kept = (cdiv.Distribution(np.where(d.probs > tol, d.probs, 0.0)) for d in (p, s))
+    infidelity = QuantifierResult.of(1.0 - cdiv.bhattacharyya_coefficient(*kept)).value
     return QuantifierResult.of(math.sqrt(infidelity))
 
 
@@ -319,11 +331,14 @@ class QuantifierSpec:
     distributions of a commuting pair. Both take mu, which only
     ``needs_mu`` entries use; ``rows`` also takes the dict of values the
     quantifiers share on one pair of stacks (see ``evaluate_rows``).
+    ``spectral`` is False when ``rows`` reads only the states' matrices, so
+    stacks validated without their spectra will do.
     """
 
     rows: Callable[[DensityStack, DensityStack, Optional[float], dict], np.ndarray]
     classical: Callable[[cdiv.Distribution, cdiv.Distribution, Optional[float]], QuantifierResult]
     needs_mu: bool = False
+    spectral: bool = True  # rows reads the eigen-data, not just the matrices
     contractive: bool = False  # under every CPTP map
     transpose_invariant: bool = False
     jointly_convex: bool = False
@@ -358,7 +373,7 @@ QUANTIFIERS = {
     "trace_dist": QuantifierSpec(
         lambda r, s, mu, shared: _checked(_trace_distances(r, s)),
         lambda p, s, mu: cdiv.f_divergence(cdiv.vd(), p, s),
-        contractive=True, transpose_invariant=True, plateau=1.0, maximum=1.0,
+        spectral=False, contractive=True, transpose_invariant=True, plateau=1.0, maximum=1.0,
     ),
     "qjs": QuantifierSpec(
         _mixture_rows(lambda mu: cdiv.js_weights()),
@@ -379,14 +394,14 @@ QUANTIFIERS = {
     "hs_dist": QuantifierSpec(
         lambda r, s, mu, shared: _checked(_hs_distances(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.euclidean_distance(p, s) / math.sqrt(2.0)),
-        jointly_convex=True, maximum=1.0, pure_maximizers=True,
+        spectral=False, jointly_convex=True, maximum=1.0, pure_maximizers=True,
         assignment_factor=lambda tau: math.sqrt(purity(tau)),
         amplification_cap=lambda env_dim: math.sqrt(env_dim),
     ),
     "d_inf": QuantifierSpec(
         lambda r, s, mu, shared: _checked(_d_infs(r, s)),
         lambda p, s, mu: QuantifierResult.of(cdiv.chebyshev_distance(p, s)),
-        jointly_convex=True, maximum=1.0,
+        spectral=False, jointly_convex=True, maximum=1.0,
         assignment_factor=lambda tau: float(np.max(tau.eigenvalues)),
         amplification_cap=lambda env_dim: float(env_dim),
     ),
@@ -440,7 +455,8 @@ def evaluate_rows(
     q: QuantifierId, firsts: DensityStack, seconds: DensityStack, shared: Optional[dict] = None
 ) -> np.ndarray:
     """``evaluate(q, firsts.state(i), seconds.state(i)).value`` for every
-    row i, bit for bit, in one stacked evaluation.
+    row i, bit for bit, in one stacked evaluation. A one-row stack is
+    broadcast against the other's rows: its state is paired with each.
 
     ``shared`` keeps what several quantifiers compute alike on these two
     stacks (the validated mixture's relative entropies at each mu, the PSD

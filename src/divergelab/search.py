@@ -7,9 +7,13 @@ operator norms), which rules out naive gradients; pattern search only needs
 function values.
 
 The poll is speculative and batched (compass search as in Kolda, Lewis and
-Torczon, SIAM Review 45(3), 2003): the next neighbours in sweep order are
-built, validated and evaluated as one stack, and the first that improves is
-taken, exactly as a one-at-a-time sweep takes it.
+Torczon, SIAM Review 45(3), 2003): the next neighbours in sweep order, all
+moving the same state of the pair, are built, validated and evaluated as one
+stack against the unmoved state, and the first that improves is taken,
+exactly as a one-at-a-time sweep takes it. Neighbours are validated only as
+deep as the quantifier reads them: without their spectra when its kernel
+reads matrices alone, in which case the neighbour taken is validated again
+in full.
 """
 from __future__ import annotations
 
@@ -35,9 +39,10 @@ STEP_DECAY = 0.5
 STEP_TOL = 1e-7
 DEFAULT_RESTARTS = 12
 DEFAULT_BUDGET = 20000
-# Neighbours polled per stacked evaluation. On the optimizer benchmark
-# workload, 16 drops a third of the rows it validates, yet 32 was no faster
-# and 8 was 25% slower.
+# Neighbours polled per stacked evaluation, at most; a batch also ends where
+# the sweep passes from the first state's coordinates to the second's. On
+# the optimizer benchmark workload, 16 drops a third of the rows it
+# validates, yet 32 was no faster and 8 was 25% slower.
 BATCH = 16
 
 
@@ -52,10 +57,10 @@ class OptimizationResult:
     evaluations: int
 
 
-def _states(halves: np.ndarray, dim: int) -> DensityStack:
+def _states(halves: np.ndarray, dim: int, spectra: bool = True) -> DensityStack:
     """The states G G^dag / Tr(G G^dag), one per row of ``halves``: a row is
     one half of the parameter vector, the real parts of G's entries, then
-    their imaginary parts."""
+    their imaginary parts. ``spectra`` goes to ``validate_stack``."""
     n = len(halves)
     parts = halves.reshape(n, 2, dim * dim)
     g = (parts[:, 0] + 1j * parts[:, 1]).reshape(n, dim, dim)
@@ -65,15 +70,7 @@ def _states(halves: np.ndarray, dim: int) -> DensityStack:
     if low.any():
         m[low] = m[low] + np.eye(dim) * 1e-12
         tr = np.trace(m, axis1=1, axis2=2).real
-    return validate_stack(m / tr[:, None, None])
-
-
-def _select(mask: np.ndarray, a: DensityStack, b: DensityStack) -> DensityStack:
-    """Row i of ``a`` where ``mask[i]``, else of ``b`` (a one-row stack is
-    broadcast)."""
-    return DensityStack(
-        *(np.where(mask.reshape(-1, *[1] * (x.ndim - 1)), x, y) for x, y in zip(a, b))
-    )
+    return validate_stack(m / tr[:, None, None], spectra)
 
 
 def optimal_pair_search(
@@ -92,10 +89,13 @@ def optimal_pair_search(
 
     A sweep polls coordinates in order, + before -, takes the first
     neighbour that beats the incumbent by more than 1e-14 and goes on at the
-    next coordinate from the new point. Up to ``BATCH`` neighbours are
-    evaluated at once; those after the one taken are dropped, and only
-    the neighbours a one-at-a-time sweep evaluates count against the budget
-    and in ``evaluations``.
+    next coordinate from the new point. Up to ``BATCH`` neighbours that move
+    the same state are evaluated at once, against the other state as a
+    one-row stack; those after the one taken are dropped, and only the
+    neighbours a one-at-a-time sweep evaluates count against the budget and
+    in ``evaluations``. Neighbours are validated without their spectra when
+    the quantifier's kernel reads only matrices; the one taken is then
+    validated again in full, which gives it the bits of a full validation.
     """
     target = q.spec.maximum
     if target is None:
@@ -103,6 +103,7 @@ def optimal_pair_search(
     if not 2 <= dim <= 6:
         raise ValueError(f"dim must be in 2..6, got {dim}")
 
+    spectral = q.spec.spectral
     half = 2 * dim * dim
     n_params = 2 * half
     best_pair = None
@@ -123,18 +124,19 @@ def optimal_pair_search(
             improved = False
             k = 0  # the sweep's next coordinate, polled + then -
             while k < n_params and used < budget:
-                # The next neighbours in sweep order, cut at the sweep's end
-                # and at the budget.
-                j = np.arange(min(BATCH, 2 * (n_params - k), budget - used))
+                # The next neighbours in sweep order, cut at the end of the
+                # moving state's half, so at the sweep's end, and at the budget.
+                side = int(k >= half)
+                start = side * half
+                j = np.arange(min(BATCH, 2 * (start + half - k), budget - used))
                 coords = k + j // 2
                 moves = np.where(j % 2 == 0, step, -step)
-                first = coords < half
-                halves = np.where(first[:, None], x[:half], x[half:])
-                halves[j, coords % half] += moves
-                moved = _states(halves, dim)
-                firsts = _select(first, moved, pair.first.stack())
-                seconds = _select(first, pair.second.stack(), moved)
-                values = qdiv.evaluate_rows(q, firsts, seconds)
+                halves = np.tile(x[start : start + half], (len(j), 1))
+                halves[j, coords - start] += moves
+                moved = _states(halves, dim, spectral)
+                unmoved = pair[1 - side].stack()
+                rows = (moved, unmoved) if side == 0 else (unmoved, moved)
+                values = qdiv.evaluate_rows(q, *rows)
                 better = np.flatnonzero(values > value + 1e-14)
                 if not better.size:
                     # Whole coordinates were polled, unless the budget cut
@@ -145,8 +147,11 @@ def optimal_pair_search(
                 i = int(better[0])
                 used += i + 1
                 x[coords[i]] += moves[i]
-                state = moved.state(i)
-                pair = StatePair(state, pair.second) if first[i] else StatePair(pair.first, state)
+                if spectral:
+                    state = moved.state(i)
+                else:
+                    state = validate_stack(moved.matrix[i : i + 1]).state(0)
+                pair = StatePair(state, pair.second) if side == 0 else StatePair(pair.first, state)
                 value = float(values[i])
                 improved = True
                 k = int(coords[i]) + 1

@@ -68,11 +68,12 @@ class StatePair(NamedTuple):
 
 class DensityStack(NamedTuple):
     """Validated states as stacked arrays: the fields of ``DensityMatrix``,
-    each with a leading row axis."""
+    each with a leading row axis. A stack validated without its spectra
+    holds None for both eigen fields."""
 
     matrix: np.ndarray  # (N, d, d) Hermitian parts
-    eigenvalues: np.ndarray  # (N, d), descending
-    eigenvectors: np.ndarray  # (N, d, d), phase-fixed columns
+    eigenvalues: Optional[np.ndarray]  # (N, d), descending
+    eigenvectors: Optional[np.ndarray]  # (N, d, d), phase-fixed columns
 
     @property
     def dim(self) -> int:
@@ -82,12 +83,16 @@ class DensityStack(NamedTuple):
         return DensityMatrix(self.matrix[i], self.eigenvalues[i], self.eigenvectors[i])
 
 
-def validate_stack(ms) -> DensityStack:
+def validate_stack(ms, spectra: bool = True) -> DensityStack:
     """Validate each matrix of a stack ``(N, n, n)`` as a quantum state.
 
     Each matrix gets the checks of ``validate_density`` in the same order,
     and the first matrix that fails one raises the exception, with the
-    message, that ``validate_density`` raises on that matrix alone.
+    message, that ``validate_density`` raises on that matrix alone. With
+    ``spectra=False`` positivity is checked on ``eigvalsh`` eigenvalues and
+    the stack holds only the matrices, for kernels that read nothing else;
+    validating one of its matrices again gives that state bit for bit,
+    since the Hermitian part of an exactly Hermitian matrix is itself.
     """
     ms = np.asarray(ms, dtype=np.complex128)
     if ms.ndim != 3:
@@ -108,7 +113,7 @@ def validate_stack(ms) -> DensityStack:
         error = NotHermitian("density matrix must be Hermitian within 1e-10")
     if ms.shape[1] == 0:
         raise DimensionMismatch("a density matrix needs dim >= 1, got a 0x0 matrix")
-    h, lam, vectors = matcore.hermitized_eig(checked)
+    h, lam, vectors = matcore.hermitized_eig(checked, spectra)
     # Sorted descending, so the last eigenvalue is the smallest.
     smallest = lam[:, -1].tolist()
     for low, tr in zip(smallest, h.trace(axis1=1, axis2=2).real.tolist()):
@@ -118,6 +123,8 @@ def validate_stack(ms) -> DensityStack:
             raise TraceNotOne(f"trace is {tr!r}, expected 1 within 1e-10")
     if error is not None:
         raise error
+    if not spectra:
+        return DensityStack(h, None, None)
     if min(smallest, default=0.0) < 0.0:
         lam = np.where(lam < 0.0, 0.0, lam)
     return DensityStack(h, lam, vectors)

@@ -97,12 +97,15 @@ def test_lowdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
 def test_optimizer_workload_matches_the_benchmark_reference(tmp_path, capsys):
     """Every optimizer search at the default seed passes the benchmark's gate:
     the reference holds each search's value, evaluation count and restarts,
-    so this pins the search's iterates bit for bit."""
+    so this pins the search's iterates bit for bit; the evaluation counts
+    are checked exactly as well."""
     outcomes = _gate_outcomes("optimizer", tmp_path)
     capsys.readouterr()
     assert len(outcomes) == 4
     assert [o.problems for o in outcomes if o.problems] == []
     assert sum(o.attempted for o in outcomes) == 7
+    evaluations = [r["evaluations"] for o in outcomes for r in o.records]
+    assert evaluations == [1436, 1772, 6051, 4781, 9255, 10983, 12080]
 
 
 def test_highdim_workload_matches_the_benchmark_reference(tmp_path, capsys):

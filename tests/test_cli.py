@@ -245,6 +245,18 @@ class TestSuiteInputChecks:
         assert exc.value.code == 2
         assert "argument --trials" in capsys.readouterr().err
 
+    def test_optimal_pair_refuses_an_unbounded_quantifier_before_searching(
+        self, monkeypatch, capsys
+    ):
+        searched = []
+        monkeypatch.setattr(cli.search, "optimal_pair_search", lambda *a, **k: searched.append(a))
+        code, out, err = run(
+            ["suite", "optimal-pair", "--q", "trace_dist", "--q", "rel_entropy", "--seed", "1"],
+            capsys,
+        )
+        assert (code, out, searched) == (2, "", [])
+        assert err == "error: rel_entropy is unbounded; maximization is not meaningful\n"
+
     def test_optimal_pair_without_dim_searches_at_dim_2(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code, stdout, _ = run(

@@ -191,6 +191,41 @@ class TestStackedChecks:
             assert got == [matcore.schatten_norm(m, kind).hex() for m in stack]
 
 
+def _at_ratio(h, s, ratio):
+    """h + i c s, for real symmetric h and s, with c set so that
+    ||m - m^dag||_F = ratio * 1e-10 * max(1, ||m||_F) as is_hermitian
+    computes both norms."""
+    c = 1e-10
+    for _ in range(4):
+        m = h + 1j * c * s
+        size = np.linalg.norm(m - m.conj().T) / max(1.0, float(np.linalg.norm(m)))
+        c *= ratio * matcore.HERMITICITY_TOL / size
+    return h + 1j * c * s
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 16])
+def test_non_hermitian_rows_at_the_threshold(dim, rng, monkeypatch):
+    # ||m - m^dag||_F within 1e-10 +- 1e-12 of the tolerance scale
+    # max(1, ||m||_F), down to 1e-15 relative: the stacked norms decide the
+    # rows more than 1e-9 (relative) from it, is_hermitian the others.
+    offsets = [-1e-2, -1e-4, -1e-8, -1e-10, -1e-13, -1e-15, 1e-15, 1e-13, 1e-10, 1e-8, 1e-4, 1e-2]
+    rows = []
+    for norm in (0.5, 3.0):
+        h, s = (k + k.T for k in rng.standard_normal((2, dim, dim)))
+        h *= norm / np.linalg.norm(h)
+        rows += [_at_ratio(h, s, 1.0 + t) for t in offsets]
+    ms = np.array(rows)
+    want = [i for i, m in enumerate(ms) if not matcore.is_hermitian(m)]
+    calls = []
+    is_hermitian = matcore.is_hermitian
+    monkeypatch.setattr(
+        matcore, "is_hermitian", lambda m, tol: calls.append(1) or is_hermitian(m, tol)
+    )
+    assert matcore.non_hermitian_rows(ms) == want
+    assert 0 < len(calls) < len(ms)
+    assert 0 < len(want) < len(ms)
+
+
 def brute_force_partial_trace(m, d_s, d_e, keep):
     """Index-sum oracle, independent of the reshape/trace implementation."""
     if keep == "S":

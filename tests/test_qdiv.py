@@ -514,6 +514,8 @@ class TestClassificationTable:
         base_dependent = {t for t, s in qdiv.QUANTIFIERS.items() if s.base_dependent}
         assert base_dependent == {"rel_entropy", "qjs"}
         assert set(BOUNDED) == set(ALL_TAGS) - {"rel_entropy"}
+        matrix_only = {t for t, s in qdiv.QUANTIFIERS.items() if not s.spectral}
+        assert matrix_only == {"trace_dist", "hs_dist", "d_inf"}
 
     def test_plateaus_maxima_and_scalings(self):
         assert qdiv.PLATEAU_VALUE == self.PLATEAU
@@ -605,24 +607,32 @@ def test_result_clipping():
         QuantifierResult.of(float("nan"))
 
 
+def _rank_mixed_stack(dim):
+    """16 full-rank, rank-limited and diagonal rank-deficient states, so the
+    relative entropy groups rows by several rank pairs and meets supports
+    that are not contained (+inf)."""
+    rng = np.random.default_rng(dim)
+    ms = []
+    for i in range(16):
+        if i % 4 == 3:
+            m = np.diag(rng.random(dim) * (rng.random(dim) < 0.5)).astype(complex)
+            m[0, 0] += 1.0
+        else:
+            shape = (dim, 1 + i % dim)
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            m = g @ g.conj().T
+        ms.append(m / np.trace(m).real)
+    return states.validate_stack(np.array(ms))
+
+
+def _rows(stack, rows):
+    return states.DensityStack(*(None if x is None else x[rows] for x in stack))
+
+
 class TestRowKernels:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
     def test_rows_are_bitwise_one_pair_evaluations(self, dim):
-        # Full-rank, rank-limited and diagonal rank-deficient states, so the
-        # relative entropy groups rows by several rank pairs and meets
-        # supports that are not contained (+inf).
-        rng = np.random.default_rng(dim)
-        ms = []
-        for i in range(16):
-            if i % 4 == 3:
-                m = np.diag(rng.random(dim) * (rng.random(dim) < 0.5)).astype(complex)
-                m[0, 0] += 1.0
-            else:
-                shape = (dim, 1 + i % dim)
-                g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                m = g @ g.conj().T
-            ms.append(m / np.trace(m).real)
-        stack = states.validate_stack(np.array(ms))
+        stack = _rank_mixed_stack(dim)
         firsts = states.DensityStack(*(x[:8] for x in stack))
         seconds = states.DensityStack(*(x[8:] for x in stack))
         for q in all_quantifiers():
@@ -630,6 +640,43 @@ class TestRowKernels:
             for i in range(8):
                 want = evaluate(q, firsts.state(i), seconds.state(i)).value
                 assert float(rows[i]).hex() == want.hex(), (q.tag, i)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("fixed", [0, 3, 5])
+    def test_a_one_row_stack_is_broadcast(self, dim, fixed):
+        # One state, full rank, rank-deficient or rank-limited, against 15
+        # rank-mixed ones, on either side: the bits of the repeated stack.
+        stack = _rank_mixed_stack(dim)
+        others = _rows(stack, np.arange(16) != fixed)
+        one, repeated = _rows(stack, [fixed]), _rows(stack, [fixed] * 15)
+        for a, b, ra, rb in ((one, others, repeated, others), (others, one, others, repeated)):
+            shared, shared_repeated = {}, {}
+            for q in all_quantifiers():
+                got = qdiv.evaluate_rows(q, a, b, shared)
+                want = qdiv.evaluate_rows(q, ra, rb, shared_repeated)
+                assert got.tobytes() == want.tobytes(), (q.tag, a is one)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_matrix_only_kernels_read_no_spectra(self, dim):
+        stack = _rank_mixed_stack(dim)
+        shallow = states.validate_stack(stack.matrix, spectra=False)
+        firsts, seconds = _rows(stack, slice(8)), _rows(stack, slice(8, None))
+        for q in all_quantifiers():
+            if not q.spec.spectral:
+                got = qdiv.evaluate_rows(q, _rows(shallow, slice(8)), _rows(stack, [15]))
+                want = qdiv.evaluate_rows(q, firsts, _rows(stack, [15] * 8))
+                assert got.tobytes() == want.tobytes(), q.tag
+                got = qdiv.evaluate_rows(q, firsts, _rows(shallow, slice(8, None)))
+                assert got.tobytes() == qdiv.evaluate_rows(q, firsts, seconds).tobytes(), q.tag
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8, 16, 64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_hs_distances_sum_as_np_linalg_norm(self, dim, n):
+        rng = np.random.default_rng(dim * n)
+        a, b = rng.standard_normal((2, n, dim, dim)) + 1j * rng.standard_normal((2, n, dim, dim))
+        got = qdiv._hs_distances(*(states.DensityStack(m, None, None) for m in (a, b)))
+        want = np.array([np.linalg.norm(m) for m in a - b]) / math.sqrt(2.0)
+        assert got.tobytes() == want.tobytes()
 
 
 def _edge_spectrum(kind, dim, rng):
@@ -688,16 +735,10 @@ class TestEdgeInputs:
     @pytest.mark.parametrize("dim", [3, 32, 64])
     @pytest.mark.parametrize("kind", EDGE_KINDS)
     def test_commuting_pairs_agree_with_the_classical_reduction(self, dim, kind):
-        for p, s, a, b in _edge_pairs(dim, kind, True):
+        for _, _, a, b in _edge_pairs(dim, kind, True):
             rho, sigma = validate_density(a), validate_density(b)
             for q in all_quantifiers():
+                # Below the support threshold, both forms of bures and
+                # hellinger drop the eigenvalues.
                 red = qdiv.classical_reduction(q, rho, sigma)
-                if q.tag in ("bures", "hellinger") and kind == "below_support_tol":
-                    # The quantum roots drop the eigenvalues below the support
-                    # threshold, the classical affinity keeps them: with A the
-                    # affinity they carry, the quantum value sqrt(1 - F + A)
-                    # exceeds sqrt(1 - F) by at most A / sqrt(1 - F + A).
-                    dropped = float(np.sqrt(p * s)[p <= matcore.SUPPORT_TOL].sum())
-                    assert red.gap <= dropped / red.quantum_value.value + 1e-12, q.tag
-                else:
-                    assert red.gap <= 1e-10, (q.tag, red.gap)
+                assert red.gap <= 1e-10, (q.tag, red.gap)

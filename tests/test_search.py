@@ -132,13 +132,14 @@ def test_degenerate_half_takes_the_trace_floor(dim):
     assert np.allclose(stack.state(1).matrix, np.eye(dim) / dim)
 
 
-def test_batched_poll_accounting(monkeypatch):
-    validated, accepted, evaluated = [], [], []
+@pytest.mark.parametrize("tag", ["trace_dist", "holevo_skew"])
+def test_batched_poll_accounting(tag, monkeypatch):
+    validated, accepted, evaluated = {True: [], False: []}, [], []
     validate, evaluate, state = search.validate_stack, qdiv.evaluate, states.DensityStack.state
 
-    def counting_validate(ms):
-        validated.append(len(ms))
-        return validate(ms)
+    def counting_validate(ms, spectra=True):
+        validated[spectra].append(len(ms))
+        return validate(ms, spectra)
 
     def counting_state(stack, i):
         accepted.append(i)
@@ -151,17 +152,24 @@ def test_batched_poll_accounting(monkeypatch):
     monkeypatch.setattr(search, "validate_stack", counting_validate)
     monkeypatch.setattr(states.DensityStack, "state", counting_state)
     monkeypatch.setattr(qdiv, "evaluate", counting_evaluate)
-    res = search.optimal_pair_search(
-        quantifier("trace_dist"), 3, restarts=RESTARTS, budget=BUDGET, seed=11
-    )
+    q = quantifier(tag, 0.3 if tag in qdiv.NEEDS_MU else None)
+    res = search.optimal_pair_search(q, 3, restarts=RESTARTS, budget=BUDGET, seed=11)
     # Each restart builds its two start states and evaluates them once through
     # qdiv.evaluate; every poll goes through the stacked kernels.
     assert len(evaluated) == res.restarts_used
     steps = len(accepted) - 2 * res.restarts_used
     assert steps > 0
+    # A quantifier that reads only matrices polls neighbours validated
+    # without their spectra and validates the one it takes again, in full
+    # and alone; the others poll fully validated neighbours.
+    starts = 2 * res.restarts_used
+    if q.spec.spectral:
+        assert validated[False] == []
+        polled = sum(validated[True]) - starts
+    else:
+        assert sorted(validated[True]) == [1] * steps + [2] * res.restarts_used
+        polled = sum(validated[False])
     # Every evaluation the one-at-a-time sweep makes is validated; beyond
     # those, each accepted step wastes at most the rest of its batch.
-    rows = sum(validated)
-    assert rows >= res.evaluations
-    waste = rows - res.evaluations - res.restarts_used
+    waste = polled - (res.evaluations - res.restarts_used)
     assert 0 <= waste <= steps * (search.BATCH - 1)

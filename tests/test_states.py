@@ -136,6 +136,51 @@ class TestValidateStack:
             states.validate_stack(np.array([np.array([[0.5, 0.3], [0.0, 0.5]]), not_finite]))
 
 
+def _malformed_stacks(rng):
+    """Stacks that fail validation, each at its first failing matrix: the
+    malformed cases above, alone and behind valid matrices."""
+    not_hermitian = np.array([[0.5, 0.3], [0.0, 0.5]])
+    not_psd, off_trace = np.diag([1.2, -0.2]), np.diag([0.6, 0.5])
+    not_finite = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    cases = [np.array([[[np.nan, 0.0]]]), np.array([[[0.5, 1.0]]]), np.zeros((1, 0, 0)),
+             np.eye(2) / 2, np.array([[[2.0, 1.0], [0.0, -3.0]]]), np.array([np.diag([3.0, -1.0])])]
+    for bad in (not_hermitian, not_psd, off_trace, not_finite):
+        cases.append(np.array([_valid(2, rng), _valid(2, rng), bad, _valid(2, rng)]))
+    cases += [
+        np.array([_valid(2, rng), not_psd, not_finite]),
+        np.array([_valid(2, rng), not_finite, not_psd]),
+        np.array([not_hermitian, not_finite]),
+    ]
+    return cases
+
+
+def test_validation_without_spectra_fails_as_in_full(rng):
+    for ms in _malformed_stacks(rng):
+        with pytest.raises(Exception) as full:
+            states.validate_stack(ms)
+        with pytest.raises(type(full.value)) as shallow:
+            states.validate_stack(ms, spectra=False)
+        assert str(shallow.value) == str(full.value)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_validation_without_spectra_keeps_the_matrices(dim, rng):
+    # A clipped roundoff negative and a matrix Hermitian within the
+    # tolerance, not exactly; validating a kept matrix again in full gives
+    # its full validation bit for bit.
+    clipped = np.diag([1.0 + 5e-11] + [0.0] * (dim - 1))
+    ms = np.array([_valid(dim, rng) for _ in range(4)] + [clipped])
+    ms[-1, -1, -1] -= 5e-11
+    if dim > 1:
+        ms[0, 0, 1] += 1e-13
+    full, shallow = states.validate_stack(ms), states.validate_stack(ms, spectra=False)
+    assert shallow.eigenvalues is None and shallow.eigenvectors is None
+    assert shallow.matrix.tobytes() == full.matrix.tobytes()
+    again = states.validate_stack(shallow.matrix)
+    for a, b in zip(again, full):
+        assert a.tobytes() == b.tobytes()
+
+
 class TestPurity:
     def test_pure(self):
         assert abs(purity(pure_state([1, 1j])) - 1.0) < 1e-12
