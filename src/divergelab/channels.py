@@ -139,24 +139,25 @@ def assignment_channel(tau: DensityMatrix, dim_in: int) -> KrausChannel:
     """rho -> rho (x) tau. Kraus blocks sqrt(tau_r) (1 (x) |u_r>)."""
     if not isinstance(tau, DensityMatrix):
         raise InvalidState("assignment requires a validated density matrix")
-    eye = np.eye(dim_in)
-    ops = []
-    for lam, vec in zip(tau.eigenvalues, tau.eigenvectors.T):
-        if lam <= 0.0:
-            continue
-        ops.append(np.sqrt(lam) * np.kron(eye, vec.reshape(-1, 1)))
-    return KrausChannel(tuple(ops), dim_in, dim_in * tau.dim)
+    # Each block is np.kron(eye, |u_r>) as the broadcast product np.kron
+    # computes, without its Python wrapper: the same multiply, the same bits.
+    eye = np.eye(dim_in)[:, None, :, None]
+    ops = tuple(
+        np.sqrt(lam) * (eye * vec[None, :, None, None]).reshape(dim_in * tau.dim, dim_in)
+        for lam, vec in zip(tau.eigenvalues, tau.eigenvectors.T)
+        if lam > 0.0
+    )
+    return KrausChannel(ops, dim_in, dim_in * tau.dim)
 
 
 def partial_trace_channel(d_s: int, d_e: int) -> KrausChannel:
-    """Trace out the second (environment) factor of a d_s x d_e product space."""
-    eye = np.eye(d_s)
-    ops = []
-    for i in range(d_e):
-        bra = np.zeros((1, d_e))
-        bra[0, i] = 1.0
-        ops.append(np.kron(eye, bra))
-    return KrausChannel(tuple(ops), d_s * d_e, d_s)
+    """Trace out the second (environment) factor of a d_s x d_e product space.
+    Kraus blocks 1 (x) <i|, each built as the product np.kron(eye, <i|) forms."""
+    eye = np.eye(d_s)[:, None, :, None]
+    ops = tuple(
+        (eye * bra[None, None, None, :]).reshape(d_s, d_s * d_e) for bra in np.eye(d_e)
+    )
+    return KrausChannel(ops, d_s * d_e, d_s)
 
 
 def transpose_map(dim: int) -> TransposeMap:

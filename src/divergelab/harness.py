@@ -92,10 +92,8 @@ class PropertyReport:
             "seed": self.seed,
             "tolerance": self.tolerance,
             "expectation": self.expectation,
-            "extra": {k: _jsonable(v) for k, v in sorted(self.extra.items())},
-            "details": [
-                {k: _jsonable(v) for k, v in sorted(d.items())} for d in self.details
-            ],
+            "extra": {k: _jsonable(v) for k, v in self.extra.items()},
+            "details": [{k: _jsonable(v) for k, v in d.items()} for d in self.details],
         }
 
     def to_json(self) -> str:

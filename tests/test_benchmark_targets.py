@@ -87,11 +87,17 @@ def _gate_outcomes(workload: str, tmp_path) -> list:
 
 def test_lowdim_workload_matches_the_benchmark_reference(tmp_path, capsys):
     """Every suites_lowdim call at the default seed passes the benchmark's gate,
-    its reference comparison at 1e-12 included."""
+    its reference comparison at 1e-12 included. Each report is written as one
+    line: an indented report needs json's pure-Python encoder, a large share
+    of this workload's time."""
     outcomes = _gate_outcomes("suites_lowdim", tmp_path)
     capsys.readouterr()
     assert {o.call.argv[1]: o.problems for o in outcomes if o.problems} == {}
     assert sum(o.attempted for o in outcomes) == 44
+    texts = [path.read_text() for path in sorted(tmp_path.glob("call*.json"))]
+    assert len(texts) == len(outcomes)
+    assert [t.count("\n") for t in texts] == [1] * len(texts)
+    assert all(t.endswith("}\n") for t in texts)
 
 
 def test_optimizer_workload_matches_the_benchmark_reference(tmp_path, capsys):

@@ -106,6 +106,53 @@ class TestConstructors:
         assert np.max(np.abs(out - matcore.partial_trace(rho.matrix, (2, 3), "S"))) < 1e-13
 
 
+def _kron_assignment_blocks(tau, dim_in):
+    """The Kraus blocks of ``assignment_channel`` built with np.kron."""
+    eye = np.eye(dim_in)
+    return [
+        np.sqrt(lam) * np.kron(eye, vec.reshape(-1, 1))
+        for lam, vec in zip(tau.eigenvalues, tau.eigenvectors.T)
+        if lam > 0.0
+    ]
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+KRAUS_DIMS = [2, 3, 4, 5, 6, 32, 64]
+
+
+class TestKrausBlocksAreKronBitwise:
+    """The assignment and partial-trace blocks are built without np.kron,
+    from the product it forms, with its bits (signed zeros included)."""
+
+    @pytest.mark.parametrize("dim", KRAUS_DIMS)
+    @pytest.mark.parametrize("env", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["hs_mixed", "haar_pure"])
+    def test_assignment(self, dim, env, kind):
+        tau = sample_state(env, kind, seed=dim * 10 + env)
+        _same_bits(assignment_channel(tau, dim).kraus_ops, _kron_assignment_blocks(tau, dim))
+
+    @pytest.mark.parametrize("dim", KRAUS_DIMS)
+    def test_assignment_skips_zero_eigenvalues(self, dim):
+        tau = validate_density(np.diag([0.6, 0.0, 0.4]))
+        assert tau.eigenvalues.tolist() == [0.6, 0.4, 0.0]
+        ops = assignment_channel(tau, dim).kraus_ops
+        assert len(ops) == 2
+        _same_bits(ops, _kron_assignment_blocks(tau, dim))
+
+    @pytest.mark.parametrize("dim", KRAUS_DIMS)
+    @pytest.mark.parametrize("env", [2, 3, 4])
+    def test_partial_trace(self, dim, env):
+        eye = np.eye(dim)
+        want = [np.kron(eye, bra[None]) for bra in np.eye(env)]
+        _same_bits(partial_trace_channel(dim, env).kraus_ops, want)
+
+
 class TestCompose:
     def test_identity_neutral(self):
         ch = random_cptp(3, 2, seed=9)

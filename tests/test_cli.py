@@ -391,6 +391,73 @@ def test_reports_agree_across_hash_seeds(tmp_path):
     assert len(outputs[0][1]["results"]) == 3 + 2 + 3 + 3
 
 
+def _sorted_object(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+# Two calls and the CSV rows they write, pinned: purity-bound with every
+# purity nan (a nan worst margin) and optimal-pair over two quantifiers.
+REPORT_CALLS = {
+    "purity-bound": (
+        ["suite", "purity-bound", "--trials", "3", "--seed", "1"],
+        "purity_bound,hs_dist,3,3,nan,1\n",
+    ),
+    "optimal-pair": (
+        ["suite", "optimal-pair", "--q", "trace_dist", "--q", "hs_dist", "--dim", "2"]
+        + ["--seed", "4"],
+        "optimal-pair,trace_dist,1,0,0.9999999999999923,4\n"
+        "optimal-pair,hs_dist,1,0,0.9999999999999921,4\n",
+    ),
+}
+
+
+class TestReportFile:
+    """The JSON report is one line of compact JSON with sorted keys, which
+    json's C encoder writes; the CSV report keeps its bytes."""
+
+    @pytest.fixture(autouse=True)
+    def _nan_purity(self, monkeypatch):
+        monkeypatch.setattr(cli.harness, "purity", lambda rho: math.nan)
+
+    @pytest.mark.parametrize("name", REPORT_CALLS)
+    def test_json_is_one_sorted_line_of_the_records(self, name, tmp_path, monkeypatch, capsys):
+        written = []
+        write = cli._write_report_file
+        monkeypatch.setattr(cli, "_write_report_file", lambda *a: written.append(a) or write(*a))
+        out = tmp_path / "r.json"
+        main(REPORT_CALLS[name][0] + ["--out", str(out)])
+        capsys.readouterr()
+        text = out.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        strict = json.loads(text, parse_constant=pytest.fail, object_pairs_hook=_sorted_object)
+        ((cfg, records),) = written
+        assert strict["results"] == records
+        assert strict["config"]["seed"] == cfg.seed
+
+    def test_nan_worst_margin_is_a_string(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(REPORT_CALLS["purity-bound"][0] + ["--out", str(out)]) == 1
+        capsys.readouterr()
+        (report,) = json.loads(out.read_text(), parse_constant=pytest.fail)["results"]
+        assert report["worst_margin"] == "nan"
+        assert {d["bound"] for d in report["details"]} == {"nan"}
+
+    @pytest.mark.parametrize("name", REPORT_CALLS)
+    def test_csv_bytes(self, name, tmp_path, capsys):
+        argv, rows = REPORT_CALLS[name]
+        out = tmp_path / "r.csv"
+        main(argv + ["--out", str(out), "--format", "csv"])
+        capsys.readouterr()
+        assert out.read_bytes() == (cli.CSV_HEADER + "\n" + rows).encode()
+
+    def test_no_records_without_a_report_file(self, monkeypatch, capsys):
+        monkeypatch.setattr(PropertyReport, "to_dict", lambda self: pytest.fail("record built"))
+        assert main(REPORT_CALLS["purity-bound"][0]) == 1
+        assert "worst=nan" in capsys.readouterr().out
+
+
 class TestCsvReport:
     @pytest.mark.parametrize(
         "margin, written", [(-math.inf, "-inf"), (math.nan, "nan"), (0.125, "0.125")]
