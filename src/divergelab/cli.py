@@ -17,7 +17,7 @@ import secrets
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import harness, qdiv, search
 from .errors import DivergelabError
@@ -109,8 +109,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, Callable[[], dict]]:
-    """Summary line, verdict and report record builder of one search."""
+def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, dict]:
+    """Summary line, verdict and report record of one search."""
     dim = cfg.dims[0]
     result = search.optimal_pair_search(q, dim, seed=cfg.seed)
     record = {
@@ -134,15 +134,14 @@ def _optimal_pair(q: QuantifierId, cfg: RunConfig) -> tuple[str, bool, Callable[
         f"suite=optimal-pair q={q.label} dim={dim} value={result.value:.6f} "
         f"overlap={result.orthogonality_overlap:.2e} converged={result.converged}"
     )
-    return line, ok, lambda: record
+    return line, ok, record
 
 
-def _run(suite: harness.Suite, cfg: RunConfig) -> list[tuple[str, bool, Callable[[], dict]]]:
-    """A (summary line, verdict, record builder) per report of one suite;
-    records are built only for a report file. A harness suite is called
-    through its public function, looked up when called (so a rebound
-    ``harness`` name sees it), and draws each trial once for the whole
-    quantifier list; optimal-pair runs one search per quantifier."""
+def _run(suite: harness.Suite, cfg: RunConfig) -> list[tuple[str, bool, dict]]:
+    """A (summary line, verdict, record) per report of one suite. A harness
+    suite is called through its public function, looked up when called (so
+    a rebound ``harness`` name sees it), and draws each trial once for the
+    whole quantifier list; optimal-pair runs one search per quantifier."""
     qs = [qdiv.quantifier(tag, cfg.mu) for tag in cfg.quantifiers or suite.tags or ()]
     if suite.function is None:
         return [_optimal_pair(q, cfg) for q in suite.admitted(qs)]
@@ -151,7 +150,7 @@ def _run(suite: harness.Suite, cfg: RunConfig) -> list[tuple[str, bool, Callable
         kw["dim_range"] = cfg.dims
     result = getattr(harness, suite.function)(*([qs] if qs else []), **kw)
     reports = result.all_reports() if isinstance(result, harness.SuiteReports) else [result]
-    return [(r.summary_line(), r.passed, r.to_dict) for r in reports]
+    return [(r.summary_line(), r.passed, r.to_dict()) for r in reports]
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -172,7 +171,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     results = _run(suite, cfg)
     print("\n".join(line for line, _, _ in results))
     if cfg.out:
-        _write_report_file(cfg, [record() for _, _, record in results])
+        _write_report_file(cfg, [record for _, _, record in results])
     return 0 if all(passed for _, passed, _ in results) else 1
 
 

@@ -31,9 +31,9 @@ from .states import (
     DensityStack,
     StatePair,
     commute,
-    mixture_stack,
     purity,
     validate_density,
+    validate_stack,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -131,7 +131,7 @@ def _mixture_divergences(rho, sigma, mu: float, a: float, b: float, shared: dict
     kept in ``shared`` under mu: qsd and holevo_skew at one mu share them."""
     key = ("mixture", mu)
     if key not in shared:
-        m = mixture_stack(rho, sigma, mu)
+        m = validate_stack(mu * rho.matrix + (1.0 - mu) * sigma.matrix)
         shared[key] = _relative_entropies(rho, m), _relative_entropies(sigma, m)
     first, second = shared[key]
     return a * first + b * second

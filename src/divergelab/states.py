@@ -113,24 +113,7 @@ def validate_stack(ms, spectra: bool = True) -> DensityStack:
         error = NotHermitian("density matrix must be Hermitian within 1e-10")
     if ms.shape[1] == 0:
         raise DimensionMismatch("a density matrix needs dim >= 1, got a 0x0 matrix")
-    return _checked_spectra(*matcore.hermitized_eig(checked, spectra), error)
-
-
-def mixture_stack(a: DensityStack, b: DensityStack, mu: float) -> DensityStack:
-    """The validated mixture ``mu a + (1 - mu) b`` of two validated stacks,
-    row by row: ``validate_stack`` of it, field for field. The Hermitian
-    parts of validated states are finite and exactly Hermitian, and so is
-    every real-weighted sum of them, so the finiteness and Hermiticity
-    checks cannot fail and are skipped; near the boundary the positivity
-    and trace checks can, by an ulp, and are kept."""
-    return _checked_spectra(*matcore.hermitized_eig(mu * a.matrix + (1.0 - mu) * b.matrix))
-
-
-def _checked_spectra(h, lam, vectors, error=None) -> DensityStack:
-    """The stack of Hermitian parts ``h`` with their eigen-data, after the
-    positivity and trace checks of ``validate_stack``; ``error``, raised by
-    an earlier check on a later row, is raised when these pass. Eigenvalues
-    in [-1e-10, 0) are clipped to 0."""
+    h, lam, vectors = matcore.hermitized_eig(checked, spectra)
     # Sorted descending, so the last eigenvalue is the smallest.
     smallest = lam[:, -1].tolist()
     for low, tr in zip(smallest, h.trace(axis1=1, axis2=2).real.tolist()):
@@ -140,7 +123,7 @@ def _checked_spectra(h, lam, vectors, error=None) -> DensityStack:
             raise TraceNotOne(f"trace is {tr!r}, expected 1 within 1e-10")
     if error is not None:
         raise error
-    if vectors is None:
+    if not spectra:
         return DensityStack(h, None, None)
     if min(smallest, default=0.0) < 0.0:
         lam = np.where(lam < 0.0, 0.0, lam)

@@ -452,11 +452,6 @@ class TestReportFile:
         capsys.readouterr()
         assert out.read_bytes() == (cli.CSV_HEADER + "\n" + rows).encode()
 
-    def test_no_records_without_a_report_file(self, monkeypatch, capsys):
-        monkeypatch.setattr(PropertyReport, "to_dict", lambda self: pytest.fail("record built"))
-        assert main(REPORT_CALLS["purity-bound"][0]) == 1
-        assert "worst=nan" in capsys.readouterr().out
-
 
 class TestCsvReport:
     @pytest.mark.parametrize(

@@ -463,13 +463,6 @@ class TestBlocks:
         for module in modules:
             if getattr(module, "validate_stack", None) is validate_stack:
                 monkeypatch.setattr(module, "validate_stack", counted)
-        mixture_stack = qdiv.mixture_stack
-
-        def counted_mixture(a, b, mu):
-            stacks.append(len(a.matrix))
-            return mixture_stack(a, b, mu)
-
-        monkeypatch.setattr(qdiv, "mixture_stack", counted_mixture)
         monkeypatch.setattr(qdiv, "evaluate", lambda *a: pytest.fail("one-pair evaluation"))
         trials = 60
         reports = dpi_suite(_tags(*qdiv.ALL_TAGS, "qsd"), trials=trials, seed=81)

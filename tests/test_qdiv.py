@@ -271,7 +271,7 @@ class TestSharedStateValues:
         firsts, seconds = _stacks(4, 42)
         tags = ("qsd", "holevo_skew", "qjs")
         unshared = [qdiv.evaluate_rows(quantifier(t, 0.3), firsts, seconds) for t in tags]
-        built = _counting(monkeypatch, "mixture_stack")
+        built = _counting(monkeypatch, "validate_stack")
         shared = {}
         values = []
         for tag in tags:
@@ -289,7 +289,7 @@ class TestSharedStateValues:
             [holevo_skew_divergence(firsts.state(i), seconds.state(i), mu).value for i in rows]
             for mu in mus
         ]
-        built = _counting(monkeypatch, "mixture_stack")
+        built = _counting(monkeypatch, "validate_stack")
         shared = {}
         for mu, want in zip(mus, wants):
             value = qdiv.evaluate_rows(quantifier("holevo_skew", mu), firsts, seconds, shared)
@@ -298,7 +298,7 @@ class TestSharedStateValues:
 
     def test_one_pair_evaluations_share_nothing(self, monkeypatch):
         rho, sigma = _pair(4, 44)
-        built = _counting(monkeypatch, "mixture_stack")
+        built = _counting(monkeypatch, "validate_stack")
         quantum_skew_divergence(rho, sigma, 0.3)
         holevo_skew_divergence(rho, sigma, 0.3)
         assert len(built) == 2
@@ -742,86 +742,3 @@ class TestEdgeInputs:
                 # hellinger drop the eigenvalues.
                 red = qdiv.classical_reduction(q, rho, sigma)
                 assert red.gap <= 1e-10, (q.tag, red.gap)
-
-
-def _rank_mixed_stacks(dim):
-    """Two stacks of full-rank, rank-limited, pure and diagonal states; the
-    diagonal ones hold exact zeros, off the diagonal and in the spectrum.
-    One more state, first in both stacks, has -0.0 real parts off the
-    diagonal."""
-    signed = np.eye(dim, dtype=complex) / dim
-    signed[0, 1], signed[1, 0] = complex(-0.0, 0.1 / dim), complex(-0.0, -0.1 / dim)
-    rows = [signed]
-    for seed in range(3):
-        rows.append(states._draw_state(dim, "hs_mixed", derive_rng(seed, dim)))
-        rank = 1 + seed % dim
-        rows.append(states._draw_state(dim, "rank_limited", derive_rng(seed, dim, 1), rank))
-        rows.append(states._draw_state(dim, "haar_pure", derive_rng(seed, dim, 2)))
-        p = np.zeros(dim)
-        p[seed % dim], p[(seed + 1) % dim] = 0.25, 0.75
-        rows.append(np.diag(p).astype(complex))
-    firsts, seconds = rows, rows[:1] + rows[:0:-1]
-    return states.validate_stack(np.array(firsts)), states.validate_stack(np.array(seconds))
-
-
-def _mixture_inputs():
-    for dim in (2, 3, 32, 64):
-        yield f"rank_mixed-{dim}", _rank_mixed_stacks(dim)
-    for dim in (3, 32, 64):
-        for kind in EDGE_KINDS:
-            pairs = _edge_pairs(dim, kind, False) + _edge_pairs(dim, kind, True)
-            yield f"{kind}-{dim}", tuple(
-                states.validate_stack(np.array([pair[i] for pair in pairs])) for i in (2, 3)
-            )
-
-
-MIXTURE_INPUTS = dict(_mixture_inputs())
-
-
-class TestMixtureStack:
-    """The mixture of two validated stacks skips the finiteness and
-    Hermiticity checks of ``validate_stack``, which cannot fail on it, and
-    is the stack that ``validate_stack`` gives, bit for bit."""
-
-    @pytest.mark.parametrize("name", MIXTURE_INPUTS)
-    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.9])
-    def test_equals_the_validated_mixture_bitwise(self, name, mu):
-        a, b = MIXTURE_INPUTS[name]
-        got = states.mixture_stack(a, b, mu)
-        want = states.validate_stack(mu * a.matrix + (1.0 - mu) * b.matrix)
-        for field, g, w in zip(want._fields, got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape, field
-            assert g.tobytes() == w.tobytes(), field
-
-    @pytest.mark.parametrize("name", MIXTURE_INPUTS)
-    def test_mixture_rows_are_unchanged(self, name, monkeypatch):
-        a, b = MIXTURE_INPUTS[name]
-        qs = [quantifier("qsd", 0.3), quantifier("holevo_skew", 0.3), quantifier("qjs")]
-        got = [qdiv.evaluate_rows(q, a, b, {}) for q in qs]
-        monkeypatch.setattr(
-            qdiv,
-            "mixture_stack",
-            lambda r, s, mu: states.validate_stack(mu * r.matrix + (1.0 - mu) * s.matrix),
-        )
-        want = [qdiv.evaluate_rows(q, a, b, {}) for q in qs]
-        for q, g, w in zip(qs, got, want):
-            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), q.tag
-
-    def test_keeps_the_trace_check_and_its_message(self):
-        a, _ = MIXTURE_INPUTS["rank_mixed-3"]
-        off = a._replace(matrix=a.matrix * 1.5)
-        with pytest.raises(states.TraceNotOne) as want:
-            states.validate_stack(0.3 * off.matrix + 0.7 * a.matrix)
-        with pytest.raises(states.TraceNotOne) as got:
-            states.mixture_stack(off, a, 0.3)
-        assert str(got.value) == str(want.value)
-
-    def test_keeps_the_positivity_check_and_its_message(self):
-        a, _ = MIXTURE_INPUTS["rank_mixed-3"]
-        eye = np.eye(3)
-        flip = a._replace(matrix=np.broadcast_to(eye * [2.0, 0.0, -1.0], a.matrix.shape))
-        with pytest.raises(states.NotPSD) as want:
-            states.validate_stack(0.5 * flip.matrix + 0.5 * a.matrix)
-        with pytest.raises(states.NotPSD) as got:
-            states.mixture_stack(flip, a, 0.5)
-        assert str(got.value) == str(want.value)
