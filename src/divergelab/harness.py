@@ -6,13 +6,15 @@ Every suite is one ``Suite`` entry of ``SUITES``, which the CLI reads too,
 and one runner runs them all. A trial is drawn from its own stream
 ``derive_rng(seed, trial)``, unvalidated, so reports are bit-identical
 across reruns and trial order. Consecutive trials form a block, which
-closes once its states hold ``BLOCK_ENTRIES`` matrix entries; the suite's
-block kernel validates each stage of the block (the drawn pairs, their
-images under each channel, the mixtures) in one ``validate_stack`` call per
-dim and evaluates every quantifier in one ``qdiv.evaluate_rows`` call per
-dim, which gives every row the bits of a one-pair evaluation. A suite that
-takes a quantifier takes a sequence of them too, each trial drawn once for
-all, with the same reports as one call per quantifier.
+closes once its trials cost ``BLOCK_COST``, a trial at dim d costing
+2 d**3 per pair it draws: 150 or more trials at d = 2-6, one at d >= 32.
+The suite's block kernel validates each stage of the block (the drawn
+pairs, their images under each channel, the mixtures) in one
+``validate_stack`` call per dim and evaluates every quantifier in one
+``qdiv.evaluate_rows`` call per dim, which gives every row the bits of a
+one-pair evaluation. A suite that takes a quantifier takes a sequence of
+them too, each trial drawn once for all, with the same reports as one call
+per quantifier.
 
 Margins are signed with negative meaning violation; a trial counts as a
 violation when its margin falls below -tolerance or is nan; where a margin
@@ -148,19 +150,22 @@ class InvarianceReports(NamedTuple):
 
 
 # Trials go through the stacked stages in blocks of consecutive trials; a
-# block closes once the states its trials drew hold this many matrix
-# entries: about fifty trials at d = 2-6, one at d >= 32. Blocks bound
-# memory, not results: any budget gives the same reports. On a nine-
-# quantifier dpi run at d = 32-64, 2**12 (two trials per block below
-# d = 46) raised the peak RSS by 1.3 MB and 2**11 left it flat.
-BLOCK_ENTRIES = 2**11
+# block closes once its trials cost this much, a trial at dim d costing
+# 2 d**3 per pair it draws. A trial's work grows as d**3 (eigensolves,
+# Kraus products), and so does what it holds at most (a measure-and-prepare
+# map at d is d Kraus operators of d**2 entries), so the numpy overhead per
+# call that a block shares out matters only at small d: a block holds about
+# 150-4,000 trials at d = 2-6. At d >= 32 a trial costs 2 * 32**3 = 2**16
+# or more and is a block of its own. Blocks bound memory, not results: any
+# budget gives the same reports.
+BLOCK_COST = 2**16
 
 
 def _blocks(trials: int, seed: int, draw, dim_range: tuple[int, int]):
     """Lists of ``(t, trial)``: each trial drawn by ``draw`` from its own
     stream ``derive_rng(seed, t)``, consecutive trials gathered into blocks
-    of ``BLOCK_ENTRIES``. ``draw`` returns the entry count of the states it
-    drew, and the trial. The next block is drawn only once a block is done.
+    of ``BLOCK_COST``. ``draw`` returns the cost of what it drew, and the
+    trial. The next block is drawn only once a block is done.
     ``trials`` and the ``dim_range`` that ``draw`` draws dims from are
     checked before the first draw."""
     if trials < 1:
@@ -169,10 +174,10 @@ def _blocks(trials: int, seed: int, draw, dim_range: tuple[int, int]):
         raise ValueError(f"dim_range needs 2 <= low <= high, got {tuple(dim_range)}")
     block, used = [], 0
     for t in range(trials):
-        entries, trial = draw(derive_rng(seed, t))
+        cost, trial = draw(derive_rng(seed, t))
         block.append((t, trial))
-        used += entries
-        if used >= BLOCK_ENTRIES or t == trials - 1:
+        used += cost
+        if used >= BLOCK_COST or t == trials - 1:
             yield block
             block, used = [], 0
 
@@ -333,7 +338,8 @@ class Suite(NamedTuple):
     """Everything the harness and the CLI know about one suite.
 
     ``draw(rng, dims, **options)`` draws one trial from its stream, its dims
-    from ``dims``, and returns the entry count of its states and the trial.
+    from ``dims``, and returns its cost (2 d**3 per pair drawn at dim d) and
+    the trial.
     ``block(block, qs)`` evaluates a block of ``(t, trial)`` on stacks and
     returns a row per trial: a cell per quantifier in ``qs``, each a list of
     ``(margin, detail, ...)`` legs. ``extra(qi, legs, **options)`` gives
@@ -366,7 +372,7 @@ class Suite(NamedTuple):
 
 def _dpi_draw(rng, dims, channel_kind):
     dim, d_e, channel = _contraction_channel(rng, channel_kind == "partial_trace", dims)
-    return 2 * dim * dim, (dim, d_e, channel, _random_pair(dim, rng))
+    return 2 * dim**3, (dim, d_e, channel, _random_pair(dim, rng))
 
 
 def _dpi_block(block, qs):
@@ -405,7 +411,7 @@ def _invariance_draw(rng, dims):
     pair = _random_pair(dim, rng)
     unitary = channels.unitary_channel(haar_unitary(dim, rng))
     env = int(rng.integers(2, 4))
-    return 2 * dim * dim, (dim, pair, unitary, _draw_state(env, "hs_mixed", rng))
+    return 2 * dim**3, (dim, pair, unitary, _draw_state(env, "hs_mixed", rng))
 
 
 def _invariance_block(block, qs):
@@ -438,7 +444,7 @@ def _invariance_block(block, qs):
 
 def _plateau_draw(rng, dims):
     dim = _dim(rng, dims)
-    return 2 * dim * dim, (dim, *_orthogonal_pair(dim, rng))
+    return 2 * dim**3, (dim, *_orthogonal_pair(dim, rng))
 
 
 def _plateau_block(block, qs):
@@ -461,7 +467,7 @@ def _joint_convexity_draw(rng, dims):
     count = int(rng.integers(2, 5))
     weights = rng.random(count) + 1e-3
     weights /= weights.sum()
-    return 2 * count * dim * dim, (dim, weights, [_random_pair(dim, rng) for _ in range(count)])
+    return 2 * count * dim**3, (dim, weights, [_random_pair(dim, rng) for _ in range(count)])
 
 
 def _joint_convexity_block(block, qs):
@@ -492,17 +498,32 @@ def _joint_convexity_block(block, qs):
 
 def _kadison_draw(rng, dims):
     dim, _, channel = _contraction_channel(rng, rng.random() < 0.25, dims)
-    return 2 * dim * dim, (dim, channel, _random_pair(dim, rng))
+    return 2 * dim**3, (dim, channel, _random_pair(dim, rng))
+
+
+def _operator_norms(ms: list) -> list[float]:
+    """The operator norm of each Hermitian matrix in ``ms``, from one
+    ``eigvalsh`` per shape; LAPACK solves each matrix of a stack alone, so
+    every norm has the bits of its own matrix's ``eigvalsh``."""
+    out = [0.0] * len(ms)
+    for idx in _by_shape(ms):
+        spectra = np.linalg.eigvalsh(np.stack([ms[i] for i in idx]))
+        for i, v in zip(idx, np.max(np.abs(spectra), axis=1).tolist()):
+            out[i] = v
+    return out
 
 
 def _kadison_block(block, qs):
     pairs = _Stage([pair for _, (_, _, pair) in block])
     chs = _built([channel for _, (_, channel, _) in block])
     befores, afters = pairs.values(qs[0]), _images(chs, pairs).values(qs[0])
+    # Each channel's image of the identity, whose operator norm scales the bound.
+    unit_norms = _operator_norms(
+        [apply_to_matrix(ch, np.eye(dim)) for ch, (_, (dim, _, _)) in zip(chs, block)]
+    )
     rows = []
     for i, (t, (dim, channel, _)) in enumerate(block):
-        before_sq, after_sq = befores[i] ** 2, afters[i] ** 2
-        unit_norm = float(np.max(np.abs(np.linalg.eigvalsh(apply_to_matrix(chs[i], np.eye(dim))))))
+        before_sq, after_sq, unit_norm = befores[i] ** 2, afters[i] ** 2, unit_norms[i]
         detail = {"trial": t, "dim": dim, "channel": channel.label, "unit_norm": unit_norm}
         detail.update(before_sq=before_sq, after_sq=after_sq)
         rows.append([[(unit_norm * before_sq - after_sq, detail)]])
@@ -513,7 +534,7 @@ def _purity_bound_draw(rng, dims):
     dim = _dim(rng, dims)
     orthogonal = rng.random() < 0.4
     pair = _orthogonal_pair(dim, rng)[1] if orthogonal else _random_pair(dim, rng)
-    return 2 * dim * dim, (dim, orthogonal, pair)
+    return 2 * dim**3, (dim, orthogonal, pair)
 
 
 def _purity_bound_block(block, qs):
@@ -534,7 +555,7 @@ def _stinespring_draw(rng, dims):
     dim = _dim(rng, dims)
     env = int(rng.integers(2, 5))
     ch = channels._random_cptp_rng(dim, env, rng)
-    return 2 * dim * dim, (dim, env, ch, _random_pair(dim, rng))
+    return 2 * dim**3, (dim, env, ch, _random_pair(dim, rng))
 
 
 def _stinespring_block(block, qs):

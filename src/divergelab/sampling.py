@@ -15,8 +15,13 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex standard-Gaussian matrix, variance 1 per complex entry."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    """Complex standard-Gaussian matrix, variance 1 per complex entry: the
+    real parts drawn first, then the imaginary parts, written in place."""
+    z = np.empty((rows, cols), dtype=np.complex128)
+    z.real = rng.standard_normal((rows, cols))
+    z.imag = rng.standard_normal((rows, cols))
+    z /= np.sqrt(2.0)
+    return z
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

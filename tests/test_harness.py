@@ -166,6 +166,23 @@ class TestCounterexamples:
 
 
 class TestBoundSuites:
+    def test_kadison_unit_norms_are_per_trial_eigvalsh_bitwise(self):
+        # Every trial's image of the identity, its norm from its own eigvalsh.
+        seed, trials = 91, 300
+        draws = [harness._kadison_draw(derive_rng(seed, t), (2, 6))[1] for t in range(trials)]
+        chs = harness._built([channel for _, channel, _ in draws])
+        images = [channels.apply_to_matrix(ch, np.eye(dim)) for ch, (dim, _, _) in zip(chs, draws)]
+        single = [float(np.max(np.abs(np.linalg.eigvalsh(m)))) for m in images]
+        assert {channel.label for _, channel, _ in draws} == {
+            "stinespring", "unitary", "assignment_ptrace", "measure_prepare", "partial_trace"
+        }
+        # d = 2-6, and d_s * d_e for the partial traces.
+        assert {dim for dim, _, _ in draws} == {2, 3, 4, 5, 6, 8, 9, 12}
+        stacked = harness._operator_norms(images)
+        assert np.array(stacked).tobytes() == np.array(single).tobytes()
+        unit_norms = [d["unit_norm"] for d in kadison_bound_check(trials=trials, seed=seed).details]
+        assert np.array(unit_norms).tobytes() == np.array(single).tobytes()
+
     def test_kadison(self):
         report = kadison_bound_check(trials=150, seed=31)
         assert report.violations == 0
@@ -419,32 +436,50 @@ BLOCK_IDS = [
 ]
 
 
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The trial count of every block the suites run, in order."""
+    sizes = []
+    blocks = harness._blocks
+
+    def recorded(*a):
+        for block in blocks(*a):
+            sizes.append(len(block))
+            yield block
+
+    monkeypatch.setattr(harness, "_blocks", recorded)
+    return sizes
+
+
 class TestBlocks:
     """Trials are validated and evaluated in blocks of per-dimension stacks;
     where the blocks end does not change a report."""
 
     @pytest.mark.parametrize("suite, args, kw", BLOCK_CASES, ids=BLOCK_IDS)
-    def test_block_boundaries_change_nothing(self, suite, args, kw, monkeypatch):
-        sizes = []
-        blocks = harness._blocks
-
-        def recorded(*a):
-            for block in blocks(*a):
-                sizes.append(len(block))
-                yield block
-
-        monkeypatch.setattr(harness, "_blocks", recorded)
+    def test_block_boundaries_change_nothing(self, suite, args, kw, block_sizes, monkeypatch):
         default = _reports_json(suite(*args, **kw))
-        stacked = max(sizes)
+        stacked = max(block_sizes)
         # A budget that stacks trials at d = 32-40 too, one that cuts blocks
         # mid-way at low dims, then one trial per block.
-        for budget in (2**13, 97, 0):
-            monkeypatch.setattr(harness, "BLOCK_ENTRIES", budget)
-            sizes.clear()
+        for budget in (2**18, 97, 0):
+            monkeypatch.setattr(harness, "BLOCK_COST", budget)
+            block_sizes.clear()
             assert _reports_json(suite(*args, **kw)) == default, budget
-            stacked = max(stacked, *sizes)
-        assert sizes == [1] * kw["trials"]
+            stacked = max(stacked, *block_sizes)
+        assert block_sizes == [1] * kw["trials"]
         assert stacked > 1
+
+    @pytest.mark.parametrize("dims", [(32, 32), (32, 64)])
+    def test_a_trial_at_d_32_or_more_is_a_block_of_its_own(self, dims, block_sizes):
+        # A trial at d = 32 costs the budget itself, 2 * 32**3 = 2**16.
+        dpi_suite(_tags(*qdiv.ALL_TAGS), trials=4, seed=83, dim_range=dims)
+        assert block_sizes == [1] * 4
+
+    @pytest.mark.parametrize("seed", [0, 20260810, 3141592653])
+    def test_the_default_lowdim_dpi_takes_at_most_two_blocks(self, seed, block_sizes):
+        dpi_suite(_tags("trace_dist"), seed=seed)
+        assert sum(block_sizes) == harness.SUITES["dpi"].trials
+        assert len(block_sizes) <= 2
 
     def test_dpi_makes_no_one_pair_evaluation_and_no_per_trial_validation(self, monkeypatch):
         import divergelab
