@@ -201,11 +201,13 @@ def _write_report_file(cfg: RunConfig, records: list[dict]) -> None:
     config.pop("out")  # self-referential; identical runs must yield identical reports
     envelope = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": config,
+        "config": harness._jsonable(config),  # --mu may be nan or inf
         "results": records,
     }
     # Compact separators keep json's C encoder; it writes one line.
-    path.write_text(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+    path.write_text(
+        json.dumps(envelope, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    )
 
 
 _COUNTEREXAMPLES = {"hs": harness.hs_counterexample, "dinf": harness.dinf_counterexample}

@@ -16,6 +16,13 @@ one-pair evaluation. A suite that takes a quantifier takes a sequence of
 them too, each trial drawn once for all, with the same reports as one call
 per quantifier.
 
+A run that costs enough (``SPREAD_COST``) is split into contiguous trial
+spans, one per core that BLAS leaves free, each run by a forked process
+with the parent's numeric environment; the rows come back in trial order,
+so the reports are those of the inline run, byte for byte, at any core
+count. A failing run raises the error of its earliest failing trial, run
+alone, whatever the blocks and spans.
+
 Margins are signed with negative meaning violation; a trial counts as a
 violation when its margin falls below -tolerance or is nan; where a margin
 is a difference of two equal infinities, it is 0, and a margin of +inf (an
@@ -27,6 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -60,10 +69,26 @@ def _digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()[:12]
 
 
+# Values that _jsonable keeps as they are: JSON's scalars other than floats.
+_SCALARS = frozenset({int, str, bool, type(None)})
+
+
 def _jsonable(x):
-    # JSON has no inf or nan; write them as the strings "inf", "-inf", "nan".
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
+    """``x`` with every non-finite float in it, at any depth, written as the
+    string "inf", "-inf" or "nan": JSON has none of them. A scalar or a
+    finite float inside a dict or list is kept without a further call."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else str(x)
+    if isinstance(x, dict):
+        return {
+            k: v if type(v) in _SCALARS or type(v) is float and math.isfinite(v) else _jsonable(v)
+            for k, v in x.items()
+        }
+    if isinstance(x, (list, tuple)):
+        return [
+            v if type(v) in _SCALARS or type(v) is float and math.isfinite(v) else _jsonable(v)
+            for v in x
+        ]
     return x
 
 
@@ -94,12 +119,12 @@ class PropertyReport:
             "seed": self.seed,
             "tolerance": self.tolerance,
             "expectation": self.expectation,
-            "extra": {k: _jsonable(v) for k, v in self.extra.items()},
-            "details": [{k: _jsonable(v) for k, v in d.items()} for d in self.details],
+            "extra": _jsonable(self.extra),
+            "details": _jsonable(self.details),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     def summary_line(self) -> str:
         return (
@@ -161,25 +186,95 @@ class InvarianceReports(NamedTuple):
 BLOCK_COST = 2**16
 
 
-def _blocks(trials: int, seed: int, draw, dim_range: tuple[int, int]):
-    """Lists of ``(t, trial)``: each trial drawn by ``draw`` from its own
-    stream ``derive_rng(seed, t)``, consecutive trials gathered into blocks
-    of ``BLOCK_COST``. ``draw`` returns the cost of what it drew, and the
-    trial. The next block is drawn only once a block is done.
-    ``trials`` and the ``dim_range`` that ``draw`` draws dims from are
-    checked before the first draw."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 2 <= dim_range[0] <= dim_range[1]:
-        raise ValueError(f"dim_range needs 2 <= low <= high, got {tuple(dim_range)}")
+# A run is spread over the cores once its cost estimate, trials times the
+# cost 2 high**3 of a pair at the top of its dim range, reaches this: about
+# ten times the 11-16 ms that starting and joining a pool of two processes
+# takes, at ~65 ns per unit of cost at d >= 32 (both on a 2-core Xeon).
+SPREAD_COST = 2**21
+
+
+def _blocks(span: range, seed: int, draw):
+    """Lists of ``(t, trial)`` for t in ``span``: each trial drawn by ``draw``
+    from its own stream ``derive_rng(seed, t)``, consecutive trials gathered
+    into blocks of ``BLOCK_COST``. ``draw`` returns the cost of what it drew,
+    and the trial. The next block is drawn only once a block is done."""
     block, used = [], 0
-    for t in range(trials):
+    for t in span:
         cost, trial = draw(derive_rng(seed, t))
         block.append((t, trial))
         used += cost
-        if used >= BLOCK_COST or t == trials - 1:
+        if used >= BLOCK_COST or t == span[-1]:
             yield block
             block, used = [], 0
+
+
+def _blas_threads() -> int:
+    """The threads of the OpenBLAS that numpy loaded; 0 where no OpenBLAS
+    that can tell them is loaded."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        # As plain, 64-bit-integer and SciPy builds name it.
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if get is not None:
+                return get()
+    return 0
+
+
+def _width() -> int:
+    """How many processes may run at once without taking each other's
+    cores: the cores this process may run on over the threads of its BLAS,
+    which every forked worker inherits; 1 where the BLAS cannot tell."""
+    threads = _blas_threads()
+    return len(os.sched_getaffinity(0)) // threads if threads > 0 else 1
+
+
+# In a pool's worker: the span function that the pool's initializer set.
+_span_rows: Optional[Callable[[range], list]] = None
+
+
+def _adopt(rows_of: Callable[[range], list]) -> None:
+    global _span_rows
+    _span_rows = rows_of
+
+
+def _rows_of_span(span: range) -> list:
+    return _span_rows(span)
+
+
+def _spread(rows_of: Callable[[range], list], trials: int, cost: int) -> list:
+    """``rows_of(range(trials))``, from contiguous spans of the trials run
+    by a pool of forked processes, ``_width()`` of them, and joined in
+    trial order. It runs inline, on one span, unless ``cost`` reaches
+    ``SPREAD_COST``, the platform is Linux, this process is not daemonic
+    (a daemon may not have children) and no other thread is alive (a fork
+    copies only the thread that calls it). The first failing span's error
+    is raised, and no worker outlives the call."""
+    if cost < SPREAD_COST or sys.platform != "linux":
+        return rows_of(range(trials))
+    import multiprocessing
+    import threading
+
+    width = min(_width(), trials)
+    if width < 2 or multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return rows_of(range(trials))
+    spans = [range(trials * k // width, trials * (k + 1) // width) for k in range(width)]
+    pool = multiprocessing.get_context("fork").Pool(width, _adopt, (rows_of,))
+    try:
+        # imap gives the spans' rows in order, and raises a span's error
+        # only once every span before it has given its rows.
+        rows = [row for part in pool.imap(_rows_of_span, spans) for row in part]
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return rows
 
 
 def _by_shape(ms: list) -> list[list[int]]:
@@ -630,16 +725,35 @@ SUITES = {
 
 
 def _run(suite: Suite, q: Quantifiers, trials: int, seed: int, dim_range=None, **options):
-    """The one runner: the quantifiers checked, the trials drawn in blocks
-    and evaluated by the suite's block kernel, the rows turned into reports.
+    """The one runner: the quantifiers, ``trials`` and the dims checked, the
+    trials drawn in blocks and evaluated by the suite's block kernel, over
+    spans spread across the cores where the run costs enough, and the rows
+    turned into reports.
     ``dim_range`` is the range of a suite that takes one; ``options`` go to
     its draw and extra. One quantifier gets its own entry back (an
     ``InvarianceReports`` for invariance); a sequence gets them all."""
     qs = suite.admitted(q)
     dims = dim_range or suite.dims
-    rows = []
-    for block in _blocks(trials, seed, lambda rng: suite.draw(rng, dims, **options), dims):
-        rows += suite.block(block, qs)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 2 <= dims[0] <= dims[1]:
+        raise ValueError(f"dim_range needs 2 <= low <= high, got {tuple(dims)}")
+
+    def rows_of(span: range) -> list:
+        rows = []
+        for block in _blocks(span, seed, lambda rng: suite.draw(rng, dims, **options)):
+            try:
+                rows += suite.block(block, qs)
+            except Exception:
+                # A stage of the block raises for its first failing row in
+                # one dim's stack; its earliest failing trial, run alone,
+                # raises the error that no block bound or span moves.
+                for entry in block:
+                    suite.block([entry], qs)
+                raise
+        return rows
+
+    rows = _spread(rows_of, trials, trials * 2 * dims[1] ** 3)
     base = suite.name.replace("-", "_")
     names = [f"{base}_{leg}" for leg in suite.legs] or [base]
     entries = []

@@ -444,6 +444,18 @@ class TestReportFile:
         assert report["worst_margin"] == "nan"
         assert {d["bound"] for d in report["details"]} == {"nan"}
 
+    def test_non_finite_mu_is_a_string(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["suite", "kadison", "--mu", "nan", "--trials", "2", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text(), parse_constant=pytest.fail)["config"]["mu"] == "nan"
+
+    def test_a_bare_non_finite_number_is_refused(self, tmp_path):
+        cfg = RunConfig("suite", out=str(tmp_path / "r.json"))
+        with pytest.raises(ValueError):
+            _write_report_file(cfg, [{"suite": "kadison", "value": math.inf}])
+
     @pytest.mark.parametrize("name", REPORT_CALLS)
     def test_csv_bytes(self, name, tmp_path, capsys):
         argv, rows = REPORT_CALLS[name]

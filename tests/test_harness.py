@@ -1,11 +1,15 @@
 import json
 import math
+import multiprocessing
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from divergelab import channels, harness, qdiv
+from divergelab.errors import OutputInvalid, TraceNotOne
 from divergelab.harness import (
     CounterexampleRecord,
     InvarianceReports,
@@ -470,8 +474,11 @@ class TestBlocks:
         assert stacked > 1
 
     @pytest.mark.parametrize("dims", [(32, 32), (32, 64)])
-    def test_a_trial_at_d_32_or_more_is_a_block_of_its_own(self, dims, block_sizes):
-        # A trial at d = 32 costs the budget itself, 2 * 32**3 = 2**16.
+    def test_a_trial_at_d_32_or_more_is_a_block_of_its_own(self, dims, block_sizes, monkeypatch):
+        # A trial at d = 32 costs the budget itself, 2 * 32**3 = 2**16. Four
+        # trials at d <= 64 cost enough to spread, and the blocks of forked
+        # spans are recorded in the workers, so the run is kept inline.
+        monkeypatch.setattr(harness, "_width", lambda: 1)
         dpi_suite(_tags(*qdiv.ALL_TAGS), trials=4, seed=83, dim_range=dims)
         assert block_sizes == [1] * 4
 
@@ -536,7 +543,7 @@ class TestNoStateAcrossBlocks:
         def draw(rng):
             return suite.draw(rng, dims, **options)
 
-        blocks = harness._blocks(trials, seed, draw, dims)
+        blocks = harness._blocks(range(trials), seed, draw)
         full = [row for block in blocks for row in suite.block(block, qs)]
         assert len(full) == trials
         kw = {"trials": trials, "seed": seed, **options}
@@ -600,6 +607,15 @@ class TestInfiniteMargins:
         assert harness._minus(a, b) == diff
         assert math.isnan(harness._minus(math.nan, math.nan))
 
+    def test_non_finite_values_in_detail_lists_are_strings(self, monkeypatch):
+        monkeypatch.setattr(harness, "_random_pair", _unsupported_pair)
+        report = stinespring_dpi_equivalence(quantifier("rel_entropy"), trials=3, seed=1)
+        assert report.details[0]["stages"][:3] == [math.inf] * 3
+        # The first three stages keep sigma's support off rho's.
+        stages = json.loads(report.to_json(), parse_constant=pytest.fail)["details"][0]["stages"]
+        assert stages[:3] == ["inf"] * 3 and math.isfinite(stages[3])
+        assert report.to_dict()["details"][0]["stages"][3] == report.details[0]["stages"][3]
+
 
 
 # Every suite, with the quantifiers it takes, and whether it takes a dim_range.
@@ -638,3 +654,121 @@ class TestVacuousInputs:
         with pytest.raises(ValueError, match="dim_range"):
             suite(*args, trials=3, seed=1, dim_range=dim_range)
         assert draws == []
+
+
+@pytest.fixture
+def spread(monkeypatch):
+    """Every run spread over two forked workers, whatever it costs and
+    however many cores there are; the list gets an entry per fork."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(harness, "_width", lambda: 2)
+    monkeypatch.setattr(harness, "SPREAD_COST", 0)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _suite_call(name, options, trials, seed):
+    """A call of the public function of ``harness.SUITES[name]``, with every
+    quantifier the suite admits and a repeated one."""
+    suite = harness.SUITES[name]
+    tags = [t for t in qdiv.ALL_TAGS if suite.admits(qdiv.QUANTIFIERS[t])]
+    args = [_tags(*tags, tags[0])] if suite.tags else []
+    return lambda: getattr(harness, suite.function)(*args, trials=trials, seed=seed, **options)
+
+
+def _dpi_in_worker(trials, seed):
+    return _reports_json(dpi_suite(_tags("trace_dist", "bures"), trials=trials, seed=seed))
+
+
+class TestSpread:
+    """A run spread over forked workers gives the reports, or the error, of
+    the inline run, and no worker outlives the call."""
+
+    @pytest.mark.parametrize(
+        "name, options", REPLAY_CASES, ids=[" ".join([n, *o.values()]) for n, o in REPLAY_CASES]
+    )
+    def test_spread_equals_inline(self, name, options, spread, monkeypatch):
+        call = _suite_call(name, options, trials=31, seed=101)
+        spread_reports = _reports_json(call())
+        assert len(spread) == 2
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(harness, "_width", lambda: 1)
+        assert spread_reports == _reports_json(call())
+        assert len(spread) == 2
+
+    @pytest.mark.parametrize("fault", ["state", "image"])
+    def test_the_earliest_failing_trial_raises(self, fault, spread, monkeypatch):
+        # From trial 10 on, a trial's drawn first state, or its image, has
+        # trace 1 + t, so both spans of 30 trials fail, and a block's
+        # stacks at each dim hold failing rows.
+        drawing = []
+        derive = harness.derive_rng
+        random_pair, trial_channel = harness._random_pair, harness._trial_channel
+        monkeypatch.setattr(
+            harness, "derive_rng", lambda seed, t: drawing.append(t) or derive(seed, t)
+        )
+
+        def pair(dim, rng):
+            rho, sigma = random_pair(dim, rng)
+            t = drawing[-1]
+            return (rho * (1 + t) if t >= 10 and fault == "state" else rho), sigma
+
+        def channel(dim, rng):
+            draw, t = trial_channel(dim, rng), drawing[-1]
+            if t < 10 or fault == "state":
+                return draw
+            scaled = channels.KrausChannel((math.sqrt(1 + t) * np.eye(dim),), dim, dim)
+            return harness._ChannelDraw("scaled", None, lambda tau: scaled)
+
+        monkeypatch.setattr(harness, "_random_pair", pair)
+        monkeypatch.setattr(harness, "_trial_channel", channel)
+        expected = TraceNotOne if fault == "state" else OutputInvalid
+        errors = []
+        for width, budget in [(2, harness.BLOCK_COST), (1, harness.BLOCK_COST), (1, 97)]:
+            monkeypatch.setattr(harness, "_width", lambda: width)
+            monkeypatch.setattr(harness, "BLOCK_COST", budget)
+            for seed in (1, 4):
+                with pytest.raises(expected, match=r"trace is 11\.") as error:
+                    dpi_suite(_tags("trace_dist"), trials=30, seed=seed)
+                errors.append(str(error.value))
+                assert multiprocessing.active_children() == []
+        assert len(spread) == 4
+        assert len(set(errors[::2])) == len(set(errors[1::2])) == 1
+
+    def test_bad_arguments_are_refused_before_any_worker_starts(self, spread):
+        with pytest.raises(ValueError, match="trials"):
+            dpi_suite(_tags("trace_dist"), trials=0, seed=1)
+        with pytest.raises(ValueError, match="dim_range"):
+            dpi_suite(_tags("trace_dist"), trials=30, seed=1, dim_range=(5, 3))
+        assert spread == []
+
+    def test_a_daemonic_worker_runs_inline(self, spread):
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            # A daemon may not start processes: a spread would raise here.
+            reports = pool.apply(_dpi_in_worker, (20, 9))
+        finally:
+            pool.close()
+            pool.join()
+        assert len(spread) == 1  # the test's own worker
+        assert reports == _dpi_in_worker(20, 9)
+
+    def test_runs_inline_while_another_thread_is_alive(self, spread):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            reports = _dpi_in_worker(20, 9)
+        finally:
+            done.set()
+            thread.join()
+        assert spread == []
+        assert reports == _dpi_in_worker(20, 9)
+
+    def test_one_trial_runs_inline(self, spread):
+        _dpi_in_worker(1, 9)
+        assert spread == []
+
+    def test_width_is_at_most_the_usable_cores(self):
+        assert 1 <= harness._width() <= len(os.sched_getaffinity(0))
